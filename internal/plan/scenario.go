@@ -48,12 +48,13 @@ type ScenarioPlan struct {
 
 	// FullSortAlg and FullSortReadPasses price the "just sort everything"
 	// alternative the scenario is competing with (the chosen candidate's
-	// prediction over the same keys).
+	// prediction over the same keys; for group-by, the record sort's key
+	// and permutation passes over the route's padded words).
 	FullSortAlg        Alg
 	FullSortReadPasses float64
 
 	// UseScenario is the Auto decision: the scenario route costs strictly
-	// fewer predicted read passes than the full sort.
+	// fewer predicted read passes than the full sort, or no full sort fits.
 	UseScenario bool
 }
 
@@ -134,8 +135,9 @@ func padStripe(n, stripe int) int {
 }
 
 // fullSortBaseline prices the "just sort everything" alternative: the
-// chosen candidate's predicted read passes rescaled to the scenario's
-// padded length, preferring the exact count when the geometry is regular.
+// chosen candidate's predicted read passes over its own padded length
+// (preferring the exact count when the geometry is regular), and that
+// padded length.
 func fullSortBaseline(shape Shape, w Workload) (Alg, float64, int) {
 	alg, err := Choose(shape, w)
 	if err != nil {
@@ -156,77 +158,75 @@ func fullSortBaseline(shape Shape, w Workload) (Alg, float64, int) {
 	return alg, read, c.PaddedN
 }
 
+// price derives the plan's passes from its steps over PaddedN and makes
+// the Auto decision: the scenario route must cost strictly fewer predicted
+// read passes than the full sort, which costs without bound when no
+// candidate can sort the input at all.
+func (p *ScenarioPlan) price(stripe int) {
+	p.ReadPasses = float64(p.ReadSteps) * float64(stripe) / float64(p.PaddedN)
+	p.WritePasses = float64(p.WriteSteps) * float64(stripe) / float64(p.PaddedN)
+	p.UseScenario = p.FullSortAlg == "" || p.ReadPasses < p.FullSortReadPasses
+}
+
 // TopKPlan prices extracting the K smallest keys of n: one charged
 // filtering pass at a sampled threshold, survivors sorted in memory, the
 // K results written out — against the chosen full sort.
 func TopKPlan(shape Shape, w Workload, k int) ScenarioPlan {
-	n := w.N
-	p := ScenarioPlan{Kind: "topk", Route: "filter"}
-	stripe := shape.Stripe()
-	p.PaddedN = padStripe(n, stripe)
-	alg, sortRead, _ := fullSortBaseline(shape, w)
-	p.FullSortAlg, p.FullSortReadPasses = alg, sortRead
-	if k <= 0 || k > n {
-		p.Reason = fmt.Sprintf("k = %d outside [1, %d]", k, n)
-		return p
+	if k <= 0 || k > w.N {
+		return selectPlan(shape, w, "topk", fmt.Sprintf("k = %d outside [1, %d]", k, w.N), 0, 0)
 	}
-	p.Sample = SelectSample(n)
-	p.Budget = TopKBudget(n, k)
-	cap := SelectCap(shape.Mem, stripe)
-	if p.Budget > cap {
-		p.Reason = fmt.Sprintf("survivor budget %d exceeds memory capacity %d", p.Budget, cap)
-		p.Route = "fullsort"
-		return p
-	}
-	kpad := memsort.CeilDiv(k, shape.B) * shape.B
-	p.Feasible = true
-	p.Exact = true
-	p.ReadSteps = int64(p.PaddedN / stripe)
-	p.WriteSteps = int64(memsort.CeilDiv(kpad/shape.B, shape.D))
-	p.ReadPasses = float64(p.ReadSteps) * float64(stripe) / float64(p.PaddedN)
-	p.WritePasses = float64(p.WriteSteps) * float64(stripe) / float64(p.PaddedN)
-	p.UseScenario = alg != "" && p.ReadPasses < p.FullSortReadPasses
-	return p
+	kblocks := memsort.CeilDiv(k, shape.B)
+	return selectPlan(shape, w, "topk", "", TopKBudget(w.N, k), int64(memsort.CeilDiv(kblocks, shape.D)))
 }
 
 // QuantilePlan prices selecting the key of 1-indexed rank r out of n: one
 // charged filtering pass keeping a window around the sampled rank, the
 // answer read out of the sorted window.  No output stripe is written.
 func QuantilePlan(shape Shape, w Workload, r int) ScenarioPlan {
-	n := w.N
-	p := ScenarioPlan{Kind: "quantile", Route: "filter"}
+	if r < 1 || r > w.N {
+		return selectPlan(shape, w, "quantile", fmt.Sprintf("rank %d outside [1, %d]", r, w.N), 0, 0)
+	}
+	return selectPlan(shape, w, "quantile", "", QuantileBudget(w.N, r), 0)
+}
+
+// selectPlan is the selection pricer behind TopKPlan and QuantilePlan: one
+// charged read pass over the stripe-padded input, feasible when the
+// worst-case survivor budget fits SelectCap, plus writeSteps to write the
+// result out.  A non-empty badRank is the reason the rank is out of range.
+func selectPlan(shape Shape, w Workload, kind, badRank string, budget int, writeSteps int64) ScenarioPlan {
+	p := ScenarioPlan{Kind: kind, Route: "filter", Reason: badRank}
 	stripe := shape.Stripe()
-	p.PaddedN = padStripe(n, stripe)
-	alg, sortRead, _ := fullSortBaseline(shape, w)
-	p.FullSortAlg, p.FullSortReadPasses = alg, sortRead
-	if r < 1 || r > n {
-		p.Reason = fmt.Sprintf("rank %d outside [1, %d]", r, n)
+	p.PaddedN = padStripe(w.N, stripe)
+	p.FullSortAlg, p.FullSortReadPasses, _ = fullSortBaseline(shape, w)
+	if badRank != "" {
 		return p
 	}
-	p.Sample = SelectSample(n)
-	p.Budget = QuantileBudget(n, r)
-	cap := SelectCap(shape.Mem, stripe)
-	if p.Budget > cap {
-		p.Reason = fmt.Sprintf("survivor budget %d exceeds memory capacity %d", p.Budget, cap)
+	p.Sample = SelectSample(w.N)
+	p.Budget = budget
+	if cap := SelectCap(shape.Mem, stripe); budget > cap {
+		p.Reason = fmt.Sprintf("survivor budget %d exceeds memory capacity %d", budget, cap)
 		p.Route = "fullsort"
 		return p
 	}
 	p.Feasible = true
 	p.Exact = true
 	p.ReadSteps = int64(p.PaddedN / stripe)
-	p.ReadPasses = float64(p.ReadSteps) * float64(stripe) / float64(p.PaddedN)
-	p.UseScenario = alg != "" && p.ReadPasses < p.FullSortReadPasses
+	p.WriteSteps = writeSteps
+	p.price(stripe)
 	return p
 }
 
 // GroupByPlan prices aggregating n records (pairWords words each: 1 for
 // bare keys, 2 for key+value) into `groups` distinct groups: one charged
 // read pass when the groups fit GroupCap(M), a hash-partition round trip
-// (read + scatter write + per-partition read) when they fit the fanout's
-// combined capacity, and the sort-then-scan route beyond that (a record
-// sort carries the payloads; the aggregation scan rides on its output).
-// Only the one-pass route is step-exact: partition padding depends on the
-// hash split, and the sort route inherits the sort's own variability.
+// (read + scatter write + per-partition read-back) when they fit the
+// fanout's combined capacity, and the sort-then-scan route beyond that.
+// The sort-then-scan baseline is a record sort carrying the payload
+// column: the key sort's passes plus the payload permutation's, both
+// expressed over the route's padded words so the two compare like for
+// like.  Only the one-pass route is step-exact: partition padding depends
+// on the hash split, and the sort route inherits the sort's own
+// variability.
 func GroupByPlan(shape Shape, n, groups, pairWords int) ScenarioPlan {
 	p := ScenarioPlan{Kind: "groupby"}
 	stripe := shape.Stripe()
@@ -243,10 +243,7 @@ func GroupByPlan(shape Shape, n, groups, pairWords int) ScenarioPlan {
 	}
 	p.PaddedN = padStripe(n*pairWords, stripe)
 	cap := GroupCap(shape.Mem)
-	// The sort-then-scan alternative: a record sort moving the payload
-	// column (pairWords−1 words per record) with the keys.
-	alg, sortRead, _ := fullSortBaseline(shape, Workload{N: n, PayloadWords: (pairWords - 1) * n})
-	p.FullSortAlg, p.FullSortReadPasses = alg, sortRead
+	p.FullSortAlg, p.FullSortReadPasses = groupBySortBaseline(shape, n, pairWords, p.PaddedN)
 	p.Feasible = true
 	switch {
 	case groups <= cap:
@@ -265,20 +262,32 @@ func GroupByPlan(shape Shape, n, groups, pairWords int) ScenarioPlan {
 		// More groups than one partition round trip can table: sort the
 		// records and scan.  The prediction is the sort's (a floor).
 		p.Route = "fullsort"
-		if alg == "" {
+		if p.FullSortAlg == "" {
 			p.Feasible = false
 			p.Reason = fmt.Sprintf("no candidate sorts %d records", n)
 			return p
 		}
-		p.ReadPasses, p.WritePasses = sortRead, sortRead
-		p.ReadSteps = int64(sortRead * float64(p.PaddedN) / float64(stripe))
+		p.ReadPasses, p.WritePasses = p.FullSortReadPasses, p.FullSortReadPasses
+		p.ReadSteps = int64(p.FullSortReadPasses * float64(p.PaddedN) / float64(stripe))
 		p.WriteSteps = p.ReadSteps
 		return p
 	}
-	p.ReadPasses = float64(p.ReadSteps) * float64(stripe) / float64(p.PaddedN)
-	p.WritePasses = float64(p.WriteSteps) * float64(stripe) / float64(p.PaddedN)
-	p.UseScenario = alg != "" && p.ReadPasses < p.FullSortReadPasses
+	p.price(stripe)
 	return p
+}
+
+// groupBySortBaseline prices group-by's sort-then-scan alternative over
+// the route's paddedWords: the chosen record sort's key passes over its
+// padded keys plus its payload permutation passes over the padded payload
+// store (pairWords−1 words per record), as words moved per padded word.
+func groupBySortBaseline(shape Shape, n, pairWords, paddedWords int) (Alg, float64) {
+	payload := (pairWords - 1) * n
+	alg, keyRead, keyPadded := fullSortBaseline(shape, Workload{N: n, PayloadWords: payload})
+	if alg == "" {
+		return "", 0
+	}
+	storeWords, _, permute := PermutePlan(payload, shape.Mem, shape.B, shape.Stripe())
+	return alg, (keyRead*float64(keyPadded) + permute*float64(storeWords)) / float64(paddedWords)
 }
 
 // PartitionFanout is the hash fanout the group-by partition route uses
@@ -316,8 +325,7 @@ func IngestPlan(shape Shape, w Workload, batch int) ScenarioPlan {
 	stripe := shape.Stripe()
 	full := w
 	full.N = n + batch
-	alg, sortRead, _ := fullSortBaseline(shape, full)
-	p.FullSortAlg, p.FullSortReadPasses = alg, sortRead
+	p.FullSortAlg, p.FullSortReadPasses, _ = fullSortBaseline(shape, full)
 	if n < 0 || batch <= 0 {
 		p.Reason = fmt.Sprintf("bad sizes: dataset %d, batch %d", n, batch)
 		return p
@@ -349,9 +357,7 @@ func IngestPlan(shape Shape, w Workload, batch int) ScenarioPlan {
 	mergeSteps := int64(p.PaddedN / stripe)
 	p.ReadSteps = int64(br*float64(batchPadded)/float64(stripe)) + mergeSteps
 	p.WriteSteps = int64(bw*float64(batchPadded)/float64(stripe)) + mergeSteps
-	p.ReadPasses = float64(p.ReadSteps) * float64(stripe) / float64(p.PaddedN)
-	p.WritePasses = float64(p.WriteSteps) * float64(stripe) / float64(p.PaddedN)
-	p.UseScenario = alg != "" && p.ReadPasses < p.FullSortReadPasses
+	p.price(stripe)
 	return p
 }
 

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"repro/internal/pdm"
@@ -86,35 +87,74 @@ func (m *Machine) scenarioShape() plan.Shape {
 
 // ExplainScenario prices spec's scenario route against the full sort.
 func (m *Machine) ExplainScenario(spec ScenarioSpec) (*ScenarioPlanReport, error) {
-	p, err := scenarioPlanFor(m.scenarioShape(), spec)
+	p, err := scenarioPlanFor(m.scenarioShape(), spec, scenarioInput{})
 	if err != nil {
 		return nil, err
 	}
 	return convertScenarioPlan(p), nil
 }
 
-// scenarioPlanFor is ExplainScenario as a pure function of the geometry,
-// shared with the scheduler's submit-time planning.
-func scenarioPlanFor(shape plan.Shape, spec ScenarioSpec) (plan.ScenarioPlan, error) {
-	if spec.N <= 0 {
-		return plan.ScenarioPlan{}, fmt.Errorf("repro: ScenarioSpec.N = %d, want > 0", spec.N)
+// scenarioPlanFor is the scenario driver's validate-and-plan step, shared
+// with ExplainScenario and the scheduler's submit-time check: the one home
+// of the kind→parameter rules, then the kind's planner.  in holds the input
+// columns the caller has (none for a dry run, a job's inline columns at
+// submit, everything for a run); the rules check what is there.
+func scenarioPlanFor(shape plan.Shape, spec ScenarioSpec, in scenarioInput) (plan.ScenarioPlan, error) {
+	var none plan.ScenarioPlan
+	if err := checkKeys(in.keys); err != nil {
+		return none, err
+	}
+	if err := checkKeys(in.batch); err != nil {
+		return none, err
+	}
+	if in.payloads != nil && spec.Kind != "groupby" {
+		return none, fmt.Errorf("repro: group payloads are only valid with scenario \"groupby\", not %q", spec.Kind)
+	}
+	if len(in.batch) > 0 && spec.Kind != "ingest" {
+		return none, fmt.Errorf("repro: an ingest batch is only valid with scenario \"ingest\", not %q", spec.Kind)
 	}
 	w := plan.Workload{N: spec.N}
 	switch spec.Kind {
 	case "topk":
+		if spec.K < 1 || spec.K > spec.N {
+			return none, fmt.Errorf("repro: topK = %d outside [1, %d]", spec.K, spec.N)
+		}
 		return plan.TopKPlan(shape, w, spec.K), nil
 	case "quantile":
+		if spec.Rank < 1 || spec.Rank > spec.N {
+			return none, fmt.Errorf("repro: rank = %d outside [1, %d]", spec.Rank, spec.N)
+		}
 		return plan.QuantilePlan(shape, w, spec.Rank), nil
 	case "groupby":
-		pw := spec.PairWords
-		if pw == 0 {
-			pw = 1
+		if spec.N < 1 {
+			return none, fmt.Errorf("repro: group-by of %d records, want > 0", spec.N)
 		}
-		return plan.GroupByPlan(shape, spec.N, spec.Groups, pw), nil
+		if in.payloads != nil && len(in.payloads) != spec.N {
+			return none, fmt.Errorf("repro: %d keys but %d group payloads", spec.N, len(in.payloads))
+		}
+		return plan.GroupByPlan(shape, spec.N, spec.Groups, spec.pairWords()), nil
 	case "ingest":
+		if spec.N < 0 || spec.Batch < 1 {
+			return none, fmt.Errorf("repro: ingest of %d keys into %d, want a non-empty batch", spec.Batch, spec.N)
+		}
+		if !slices.IsSorted(in.keys) {
+			return none, errUnsortedDataset
+		}
 		return plan.IngestPlan(shape, w, spec.Batch), nil
 	}
-	return plan.ScenarioPlan{}, fmt.Errorf("repro: unknown scenario kind %q (want topk|quantile|groupby|ingest)", spec.Kind)
+	return none, fmt.Errorf("repro: unknown scenario kind %q (want topk|quantile|groupby|ingest)", spec.Kind)
+}
+
+// errUnsortedDataset rejects an ingest dataset that is not ascending.
+var errUnsortedDataset = errors.New("repro: Ingest dataset is not sorted")
+
+// pairWords is the group-by record width the spec plans: 2 with a payload
+// column, 1 otherwise.
+func (spec ScenarioSpec) pairWords() int {
+	if spec.PairWords == 0 {
+		return 1
+	}
+	return spec.PairWords
 }
 
 // convertScenarioPlan maps the internal plan onto the facade type.
@@ -192,34 +232,17 @@ func thresholdAt(sample []int64, n, target int) int64 {
 	return sample[idx]
 }
 
-// scenarioReport assembles a Report from the I/O delta of a scenario run,
-// with passes over the scenario plan's padded length.
-func (m *Machine) scenarioReport(kind, route string, n, paddedN int, io pdm.Stats) *Report {
+// loadPadded loads data onto a fresh stripe padded with MaxInt64 sentinels
+// to whole stripes — the padding the scenario plans price (uncharged, like
+// Sort's input staging).
+func (m *Machine) loadPadded(data []int64) (*pdm.Stripe, error) {
 	stripe := m.a.StripeWidth()
-	rep := &Report{
-		Algorithm:     Auto,
-		N:             n,
-		Passes:        io.Passes(paddedN, stripe),
-		ReadPasses:    io.ReadPasses(paddedN, stripe),
-		WritePasses:   io.WritePasses(paddedN, stripe),
-		IO:            io,
-		PaddedN:       paddedN,
-		Scenario:      kind,
-		ScenarioRoute: route,
-	}
-	rep.pipelineMetrics(io, m.a.Workers())
-	return rep
-}
-
-// loadPadded loads data onto a fresh stripe padded to pad keys with
-// MaxInt64 sentinels (uncharged, like Sort's input staging).
-func (m *Machine) loadPadded(data []int64, pad int) (*pdm.Stripe, error) {
-	buf := make([]int64, pad)
+	buf := make([]int64, (len(data)+stripe-1)/stripe*stripe)
 	copy(buf, data)
-	for i := len(data); i < pad; i++ {
+	for i := len(data); i < len(buf); i++ {
 		buf[i] = math.MaxInt64
 	}
-	s, err := m.a.NewStripe(pad)
+	s, err := m.a.NewStripe(len(buf))
 	if err != nil {
 		return nil, err
 	}
@@ -228,53 +251,6 @@ func (m *Machine) loadPadded(data []int64, pad int) (*pdm.Stripe, error) {
 		return nil, err
 	}
 	return s, nil
-}
-
-// TopK returns the k smallest keys in ascending order.  When the planner
-// prices the filter route cheaper than the full sort (ExplainScenario
-// shows the comparison), one charged filtering pass at a sampled
-// threshold collects the survivors, they are sorted in memory, and the k
-// results are written out — otherwise, or when the sampled threshold
-// misses (Report.FellBack), the keys are sorted outright.  The input
-// slice is never modified.
-func (m *Machine) TopK(keys []int64, k int) ([]int64, *Report, error) {
-	n := len(keys)
-	if err := checkKeys(keys); err != nil {
-		return nil, nil, err
-	}
-	if k < 1 || k > n {
-		return nil, nil, fmt.Errorf("repro: TopK k = %d outside [1, %d]", k, n)
-	}
-	p := plan.TopKPlan(m.scenarioShape(), plan.Workload{N: n}, k)
-	if !p.Feasible || !p.UseScenario {
-		return m.topKBySort(keys, k, false)
-	}
-	threshold := thresholdAt(sampleKeys(keys), n, k+plan.SelectDelta(n, k))
-
-	st0 := m.a.Stats()
-	in, err := m.loadPadded(keys, p.PaddedN)
-	if err != nil {
-		return nil, nil, err
-	}
-	fr, err := scenario.Filter(m.a, in, 0, threshold, false, p.Budget)
-	in.Free()
-	if errors.Is(err, scenario.ErrOverflow) {
-		return m.topKBySort(keys, k, true)
-	}
-	if err != nil {
-		return nil, nil, err
-	}
-	if len(fr.Kept) < k {
-		// The sampled threshold cut too deep: detected, fall back.
-		return m.topKBySort(keys, k, true)
-	}
-	m.a.Pool().SortKeys(fr.Kept)
-	top := append([]int64(nil), fr.Kept[:k]...)
-	if err := m.writeResult(top); err != nil {
-		return nil, nil, err
-	}
-	rep := m.scenarioReport("topk", "filter", n, p.PaddedN, m.a.Stats().Sub(st0))
-	return top, rep, nil
 }
 
 // writeResult streams a scenario's result keys to a fresh output stripe
@@ -303,16 +279,19 @@ func (m *Machine) writeResult(out []int64) error {
 	return s.WriteAt(0, flat)
 }
 
-// topKBySort is TopK's full-sort route.
-func (m *Machine) topKBySort(keys []int64, k int, fellBack bool) ([]int64, *Report, error) {
-	cp := append([]int64(nil), keys...)
-	rep, err := m.Sort(cp, Auto)
+// TopK returns the k smallest keys in ascending order.  When the planner
+// prices the filter route cheaper than the full sort (ExplainScenario
+// shows the comparison), one charged filtering pass at a sampled
+// threshold collects the survivors, they are sorted in memory, and the k
+// results are written out — otherwise, or when the sampled threshold
+// misses (Report.FellBack), the keys are sorted outright.  The input
+// slice is never modified.
+func (m *Machine) TopK(keys []int64, k int) ([]int64, *Report, error) {
+	res, rep, err := m.answerScenario(ScenarioSpec{Kind: "topk", N: len(keys), K: k}, scenarioInput{keys: keys})
 	if err != nil {
 		return nil, nil, err
 	}
-	rep.Scenario, rep.ScenarioRoute = "topk", "fullsort"
-	rep.FellBack = rep.FellBack || fellBack
-	return cp[:k:k], rep, nil
+	return res.Keys, rep, nil
 }
 
 // Quantile returns the key of 1-indexed rank r (r = 1 is the minimum,
@@ -321,59 +300,11 @@ func (m *Machine) topKBySort(keys []int64, k int, fellBack bool) ([]int64, *Repo
 // sorted window; a window miss (Report.FellBack) or an unfavorable plan
 // sorts outright.  The input slice is never modified.
 func (m *Machine) Quantile(keys []int64, r int) (int64, *Report, error) {
-	n := len(keys)
-	if err := checkKeys(keys); err != nil {
-		return 0, nil, err
-	}
-	if r < 1 || r > n {
-		return 0, nil, fmt.Errorf("repro: Quantile rank = %d outside [1, %d]", r, n)
-	}
-	p := plan.QuantilePlan(m.scenarioShape(), plan.Workload{N: n}, r)
-	if !p.Feasible || !p.UseScenario {
-		return m.quantileBySort(keys, r, false)
-	}
-	sample := sampleKeys(keys)
-	delta := plan.SelectDelta(n, r)
-	hasLo := r-delta > 1
-	var lo int64
-	if hasLo {
-		lo = thresholdAt(sample, n, r-delta)
-	}
-	hi := thresholdAt(sample, n, r+delta)
-
-	st0 := m.a.Stats()
-	in, err := m.loadPadded(keys, p.PaddedN)
+	res, rep, err := m.answerScenario(ScenarioSpec{Kind: "quantile", N: len(keys), Rank: r}, scenarioInput{keys: keys})
 	if err != nil {
 		return 0, nil, err
 	}
-	fr, err := scenario.Filter(m.a, in, lo, hi, hasLo, p.Budget)
-	in.Free()
-	if errors.Is(err, scenario.ErrOverflow) {
-		return m.quantileBySort(keys, r, true)
-	}
-	if err != nil {
-		return 0, nil, err
-	}
-	idx := r - 1 - fr.Below
-	if idx < 0 || idx >= len(fr.Kept) {
-		// The window missed the target rank: detected, fall back.
-		return m.quantileBySort(keys, r, true)
-	}
-	m.a.Pool().SortKeys(fr.Kept)
-	rep := m.scenarioReport("quantile", "filter", n, p.PaddedN, m.a.Stats().Sub(st0))
-	return fr.Kept[idx], rep, nil
-}
-
-// quantileBySort is Quantile's full-sort route.
-func (m *Machine) quantileBySort(keys []int64, r int, fellBack bool) (int64, *Report, error) {
-	cp := append([]int64(nil), keys...)
-	rep, err := m.Sort(cp, Auto)
-	if err != nil {
-		return 0, nil, err
-	}
-	rep.Scenario, rep.ScenarioRoute = "quantile", "fullsort"
-	rep.FellBack = rep.FellBack || fellBack
-	return cp[r-1], rep, nil
+	return *res.Value, rep, nil
 }
 
 // GroupBy aggregates records by key: count, sum, min, and max of the
@@ -382,133 +313,19 @@ func (m *Machine) quantileBySort(keys []int64, r int, fellBack bool) (int64, *Re
 // groups hints the distinct key count for route planning (≤ 0 = unknown):
 // when the groups fit one memory load of accumulators the input is
 // aggregated in a single charged pass, otherwise it takes a hash-partition
-// round trip.  A hint too low is detected and re-routed (Report.FellBack).
-// The input slices are never modified.
+// round trip — each only when the planner prices it under the
+// sort-then-scan route, which runs otherwise.  A hint too low is detected
+// and re-routed (Report.FellBack).  The input slices are never modified.
 func (m *Machine) GroupBy(keys, payloads []int64, groups int) ([]GroupAgg, *Report, error) {
-	n := len(keys)
-	if err := checkKeys(keys); err != nil {
-		return nil, nil, err
-	}
-	pairWords := 1
+	spec := ScenarioSpec{Kind: "groupby", N: len(keys), Groups: groups, PairWords: 1}
 	if payloads != nil {
-		if len(payloads) != n {
-			return nil, nil, fmt.Errorf("repro: GroupBy got %d payloads for %d keys", len(payloads), n)
-		}
-		pairWords = 2
+		spec.PairWords = 2
 	}
-	shape := m.scenarioShape()
-	p := plan.GroupByPlan(shape, n, groups, pairWords)
-	if !p.Feasible {
-		return nil, nil, fmt.Errorf("repro: group-by infeasible: %s", p.Reason)
-	}
-	route := p.Route
-	if route == "fullsort" {
-		return m.groupBySort(keys, payloads, pairWords, false)
-	}
-	pairs := make([]int64, 0, n*pairWords)
-	for i, k := range keys {
-		pairs = append(pairs, k)
-		if pairWords == 2 {
-			pairs = append(pairs, payloads[i])
-		}
-	}
-	cap := plan.GroupCap(m.a.Mem())
-
-	st0 := m.a.Stats()
-	in, err := m.loadPadded(pairs, p.PaddedN)
+	res, rep, err := m.answerScenario(spec, scenarioInput{keys: keys, payloads: payloads})
 	if err != nil {
 		return nil, nil, err
 	}
-	defer in.Free()
-
-	fellBack := false
-	var aggs []scenario.Agg
-	if route == "onepass" {
-		aggs, err = scenario.GroupOnePass(m.a, in, pairWords, cap)
-		if errors.Is(err, scenario.ErrOverflow) {
-			// The hint undercounted the groups: escalate to the partition
-			// strategy at the worst-case fanout.
-			route, fellBack, err = "partition", true, nil
-		} else if err != nil {
-			return nil, nil, err
-		}
-	}
-	if route == "partition" {
-		parts := plan.PartitionFanout(n, shape)
-		sizes := make([]int, parts)
-		for _, k := range keys {
-			sizes[scenario.PartitionIndex(k, parts)]++
-		}
-		aggs, err = scenario.GroupPartition(m.a, in, pairWords, sizes, cap)
-		if errors.Is(err, scenario.ErrOverflow) {
-			// A partition still held too many distinct keys: the last
-			// resort is the sort-then-scan route.
-			return m.groupBySort(keys, payloads, pairWords, true)
-		}
-		if err != nil {
-			return nil, nil, fmt.Errorf("repro: partitioned group-by: %w", err)
-		}
-	}
-	out := make([]GroupAgg, len(aggs))
-	for i, a := range aggs {
-		out[i] = GroupAgg(a)
-	}
-	rep := m.scenarioReport("groupby", route, n, p.PaddedN, m.a.Stats().Sub(st0))
-	rep.FellBack = fellBack
-	rep.PayloadWords = (pairWords - 1) * n
-	return out, rep, nil
-}
-
-// groupBySort is GroupBy's sort-then-scan route: a record sort carries
-// the payload column with the keys, and the aggregation scans the sorted
-// output run by run (no group-count limit — equal keys are adjacent, so
-// one accumulator suffices).
-func (m *Machine) groupBySort(keys, payloads []int64, pairWords int, fellBack bool) ([]GroupAgg, *Report, error) {
-	kc := append([]int64(nil), keys...)
-	var rep *Report
-	var err error
-	pc := kc
-	if pairWords == 2 {
-		raw := make([]byte, 8*len(payloads))
-		blobs := make([][]byte, len(payloads))
-		for i, p := range payloads {
-			b := raw[8*i : 8*i+8]
-			binary.LittleEndian.PutUint64(b, uint64(p))
-			blobs[i] = b
-		}
-		rep, err = m.SortRecords(kc, blobs, Auto)
-		if err != nil {
-			return nil, nil, err
-		}
-		pc = make([]int64, len(payloads))
-		for i := range pc {
-			pc[i] = int64(binary.LittleEndian.Uint64(blobs[i]))
-		}
-	} else {
-		rep, err = m.Sort(kc, Auto)
-		if err != nil {
-			return nil, nil, err
-		}
-	}
-	var out []GroupAgg
-	for i := 0; i < len(kc); i++ {
-		v := pc[i]
-		if len(out) == 0 || out[len(out)-1].Key != kc[i] {
-			out = append(out, GroupAgg{Key: kc[i], Min: v, Max: v})
-		}
-		a := &out[len(out)-1]
-		a.Count++
-		a.Sum += v
-		if v < a.Min {
-			a.Min = v
-		}
-		if v > a.Max {
-			a.Max = v
-		}
-	}
-	rep.Scenario, rep.ScenarioRoute = "groupby", "fullsort"
-	rep.FellBack = rep.FellBack || fellBack
-	return out, rep, nil
+	return res.Groups, rep, nil
 }
 
 // Ingest folds a batch of new keys into an already-sorted dataset,
@@ -518,77 +335,296 @@ func (m *Machine) groupBySort(keys, payloads []int64, pairWords int, fellBack bo
 // everything, which Auto falls back to when the plan prices it cheaper.
 // dataset must be ascending; neither input slice is modified.
 func (m *Machine) Ingest(dataset, batch []int64) ([]int64, *Report, error) {
-	if err := checkKeys(dataset); err != nil {
-		return nil, nil, err
-	}
-	if err := checkKeys(batch); err != nil {
-		return nil, nil, err
-	}
-	if !sort.SliceIsSorted(dataset, func(i, j int) bool { return dataset[i] < dataset[j] }) {
-		return nil, nil, fmt.Errorf("repro: Ingest dataset is not sorted")
-	}
+	spec := ScenarioSpec{Kind: "ingest", N: len(dataset), Batch: len(batch)}
 	if len(batch) == 0 {
-		out := append([]int64(nil), dataset...)
-		rep := m.scenarioReport("ingest", "merge", len(dataset), 0, pdm.Stats{})
-		return out, rep, nil
+		// Nothing to fold in: the dataset, held to the same contract, is
+		// the answer at no I/O cost.
+		if err := checkKeys(dataset); err != nil {
+			return nil, nil, err
+		}
+		if !slices.IsSorted(dataset) {
+			return nil, nil, errUnsortedDataset
+		}
+		return slices.Clone(dataset), m.scenarioReport(spec, routeRun{route: "merge"}, 0, pdm.Stats{}), nil
 	}
-	n := len(dataset)
-	p := plan.IngestPlan(m.scenarioShape(), plan.Workload{N: n}, len(batch))
-	if !p.Feasible || !p.UseScenario {
-		return m.ingestBySort(dataset, batch)
+	res, rep, err := m.answerScenario(spec, scenarioInput{keys: dataset, batch: batch})
+	if err != nil {
+		return nil, nil, err
 	}
+	return res.Keys, rep, nil
+}
 
-	st0 := m.a.Stats()
-	sortedBatch := append([]int64(nil), batch...)
-	brep, err := m.Sort(sortedBatch, Auto)
+// scenarioInput is what a scenario run reads: the keys (for ingest, the
+// ascending dataset), the group-by payload column paired element-wise
+// with them (nil when absent), and the ingest batch.
+type scenarioInput struct {
+	keys, payloads, batch []int64
+}
+
+// errMissed is a route kernel's detected miss other than
+// scenario.ErrOverflow: the sampled window held too few survivors or
+// missed the target rank.  The driver answers it with the full sort.
+var errMissed = errors.New("repro: scenario route missed its sampled window")
+
+// answerScenario is the one scenario driver behind TopK, Quantile, GroupBy,
+// Ingest, and the scheduler's scenario jobs.  It validates and plans spec,
+// runs the kind's route when the plan is feasible and prices it strictly
+// under the full sort, and answers a detected miss (Report.FellBack) — or
+// a losing plan — with the one full-sort fallback.
+func (m *Machine) answerScenario(spec ScenarioSpec, in scenarioInput) (*ScenarioResult, *Report, error) {
+	p, err := scenarioPlanFor(m.scenarioShape(), spec, in)
 	if err != nil {
 		return nil, nil, err
 	}
-	stripe := m.a.StripeWidth()
-	x, err := m.loadPadded(dataset, padStripeUp(n, stripe))
+	if !p.Feasible || !p.UseScenario {
+		return m.fullSortFallback(spec, in, false)
+	}
+	st0 := m.a.Stats()
+	res, run, err := m.scenarioRoute(spec, p, in)
+	switch {
+	case err == nil:
+		return res, m.scenarioReport(spec, run, p.PaddedN, m.a.Stats().Sub(st0)), nil
+	case errors.Is(err, scenario.ErrOverflow) || errors.Is(err, errMissed):
+		return m.fullSortFallback(spec, in, true)
+	}
+	return nil, nil, err
+}
+
+// routeRun is what a route kernel tells the report builder beyond its
+// I/O: the route that answered, the algorithm of a sort it ran inside it
+// (ingest's batch sort; Auto otherwise), and whether it fell back within
+// itself (a group-by hint too low, or that inner sort's own fallback).
+type routeRun struct {
+	route    string
+	alg      Algorithm
+	fellBack bool
+}
+
+// scenarioRoute is the driver's one per-kind step: it runs spec's route
+// kernel over in and reads the answer off its output, signalling a
+// detected miss with scenario.ErrOverflow or errMissed.
+func (m *Machine) scenarioRoute(spec ScenarioSpec, p plan.ScenarioPlan, in scenarioInput) (*ScenarioResult, routeRun, error) {
+	res := &ScenarioResult{Kind: spec.Kind}
+	run := routeRun{route: p.Route}
+	var err error
+	switch spec.Kind {
+	case "topk":
+		kept, _, err := m.filterWindow(in.keys, p.Budget, 1, spec.K)
+		if err != nil {
+			return nil, run, err
+		}
+		if len(kept) < spec.K {
+			return nil, run, errMissed // the sampled threshold cut too deep
+		}
+		res.Keys = slices.Clone(kept[:spec.K])
+		err = m.writeResult(res.Keys)
+		return res, run, err
+	case "quantile":
+		kept, below, err := m.filterWindow(in.keys, p.Budget, spec.Rank, spec.Rank)
+		if err != nil {
+			return nil, run, err
+		}
+		idx := spec.Rank - 1 - below
+		if idx < 0 || idx >= len(kept) {
+			return nil, run, errMissed // the window missed the target rank
+		}
+		v := kept[idx] // not &kept[idx]: a retained result must not pin the window
+		res.Value = &v
+	case "groupby":
+		res.Groups, run, err = m.groupRoute(spec, run, in)
+	case "ingest":
+		res.Keys, run, err = m.mergeRoute(in)
+	}
+	return res, run, err
+}
+
+// filterWindow is the selection route of top-K and quantile: one charged
+// filtering pass keeps the keys whose sampled rank lies within the slack
+// Δ of the target ranks [lo, hi], at most budget of them.  It returns the
+// survivors sorted, with the count of keys below the window.
+func (m *Machine) filterWindow(keys []int64, budget, lo, hi int) ([]int64, int, error) {
+	n := len(keys)
+	sample := sampleKeys(keys)
+	delta := plan.SelectDelta(n, hi)
+	hasLo := lo-delta > 1
+	var loKey int64
+	if hasLo {
+		loKey = thresholdAt(sample, n, lo-delta)
+	}
+	hiKey := thresholdAt(sample, n, hi+delta)
+	in, err := m.loadPadded(keys)
 	if err != nil {
-		return nil, nil, err
+		return nil, 0, err
+	}
+	fr, err := scenario.Filter(m.a, in, loKey, hiKey, hasLo, budget)
+	in.Free()
+	if err != nil {
+		return nil, 0, err
+	}
+	m.a.Pool().SortKeys(fr.Kept)
+	return fr.Kept, fr.Below, nil
+}
+
+// groupRoute is the group-by route: the one-pass aggregation, escalating
+// to the partition round trip at the worst-case fanout when the group
+// hint undercounted (a FellBack run), or the partition round trip
+// directly.  A partition that still overflows is a miss.
+func (m *Machine) groupRoute(spec ScenarioSpec, run routeRun, in scenarioInput) ([]GroupAgg, routeRun, error) {
+	pairWords := spec.pairWords()
+	pairs := make([]int64, 0, spec.N*pairWords)
+	for i, k := range in.keys {
+		pairs = append(pairs, k)
+		if in.payloads != nil {
+			pairs = append(pairs, in.payloads[i])
+		}
+	}
+	cap := plan.GroupCap(m.a.Mem())
+	st, err := m.loadPadded(pairs)
+	if err != nil {
+		return nil, run, err
+	}
+	defer st.Free()
+
+	var aggs []scenario.Agg
+	if run.route == "onepass" {
+		aggs, err = scenario.GroupOnePass(m.a, st, pairWords, cap)
+		if errors.Is(err, scenario.ErrOverflow) {
+			run, err = routeRun{route: "partition", fellBack: true}, nil
+		} else if err != nil {
+			return nil, run, err
+		}
+	}
+	if run.route == "partition" {
+		sizes := make([]int, plan.PartitionFanout(spec.N, m.scenarioShape()))
+		for _, k := range in.keys {
+			sizes[scenario.PartitionIndex(k, len(sizes))]++
+		}
+		if aggs, err = scenario.GroupPartition(m.a, st, pairWords, sizes, cap); err != nil {
+			return nil, run, fmt.Errorf("repro: partitioned group-by: %w", err)
+		}
+	}
+	out := make([]GroupAgg, len(aggs))
+	for i, a := range aggs {
+		out[i] = GroupAgg(a)
+	}
+	return out, run, nil
+}
+
+// mergeRoute is the ingest route: the planner-chosen sort of the batch
+// alone, then one two-lane StreamMerge pass over the stripe-padded
+// dataset and sorted batch.
+func (m *Machine) mergeRoute(in scenarioInput) ([]int64, routeRun, error) {
+	sorted := slices.Clone(in.batch)
+	brep, err := m.Sort(sorted, Auto)
+	if err != nil {
+		return nil, routeRun{}, err
+	}
+	run := routeRun{route: "merge", alg: brep.Algorithm, fellBack: brep.FellBack}
+	x, err := m.loadPadded(in.keys)
+	if err != nil {
+		return nil, run, err
 	}
 	defer x.Free()
-	y, err := m.loadPadded(sortedBatch, padStripeUp(len(batch), stripe))
+	y, err := m.loadPadded(sorted)
 	if err != nil {
-		return nil, nil, err
+		return nil, run, err
 	}
 	defer y.Free()
 	merged, err := scenario.Merge(m.a, x, y)
 	if err != nil {
-		return nil, nil, err
+		return nil, run, err
 	}
 	defer merged.Free()
 	flat, err := merged.Unload()
 	if err != nil {
-		return nil, nil, err
+		return nil, run, err
 	}
-	out := flat[:n+len(batch)]
-	rep := m.scenarioReport("ingest", "merge", n+len(batch), p.PaddedN, m.a.Stats().Sub(st0))
-	rep.Algorithm = brep.Algorithm
-	rep.FellBack = brep.FellBack
-	return out, rep, nil
+	return flat[:len(in.keys)+len(in.batch)], run, nil
 }
 
-// padStripeUp pads n up to a whole number of stripes (≥ 1).
-func padStripeUp(n, stripe int) int {
-	pad := (n + stripe - 1) / stripe * stripe
-	if pad == 0 {
-		pad = stripe
+// fullSortFallback is the one full-sort route every kind falls back to:
+// it sorts the whole input with Auto — the dataset and batch together for
+// ingest, the keys carrying the group-by payload column through a record
+// sort — and reads the kind's answer off the sorted output.  fellBack
+// marks a detected route miss.
+func (m *Machine) fullSortFallback(spec ScenarioSpec, in scenarioInput, fellBack bool) (*ScenarioResult, *Report, error) {
+	keys := slices.Concat(in.keys, in.batch)
+	vals := keys
+	var rep *Report
+	var err error
+	if in.payloads == nil {
+		rep, err = m.Sort(keys, Auto)
+	} else {
+		// The payload column rides as one 8-byte record payload per key.
+		raw := make([]byte, 8*len(in.payloads))
+		blobs := make([][]byte, len(in.payloads))
+		for i, v := range in.payloads {
+			blobs[i] = raw[8*i : 8*i+8]
+			binary.LittleEndian.PutUint64(blobs[i], uint64(v))
+		}
+		if rep, err = m.SortRecords(keys, blobs, Auto); err == nil {
+			vals = make([]int64, len(blobs))
+			for i, b := range blobs {
+				vals[i] = int64(binary.LittleEndian.Uint64(b))
+			}
+		}
 	}
-	return pad
-}
-
-// ingestBySort is Ingest's re-sort-everything route.
-func (m *Machine) ingestBySort(dataset, batch []int64) ([]int64, *Report, error) {
-	all := make([]int64, 0, len(dataset)+len(batch))
-	all = append(all, dataset...)
-	all = append(all, batch...)
-	rep, err := m.Sort(all, Auto)
 	if err != nil {
 		return nil, nil, err
 	}
-	rep.Scenario, rep.ScenarioRoute = "ingest", "fullsort"
-	return all, rep, nil
+	rep.Scenario, rep.ScenarioRoute = spec.Kind, "fullsort"
+	rep.FellBack = rep.FellBack || fellBack
+	res := &ScenarioResult{Kind: spec.Kind}
+	switch spec.Kind {
+	case "topk":
+		res.Keys = slices.Clone(keys[:spec.K])
+	case "quantile":
+		v := keys[spec.Rank-1]
+		res.Value = &v
+	case "groupby":
+		res.Groups = scanGroups(keys, vals)
+	case "ingest":
+		res.Keys = keys
+	}
+	return res, rep, nil
+}
+
+// scanGroups aggregates sorted keys run by run, vals[i] riding with
+// keys[i]: equal keys are adjacent, so one accumulator suffices and no
+// group-count limit applies.
+func scanGroups(keys, vals []int64) []GroupAgg {
+	var out []GroupAgg
+	for i, k := range keys {
+		v := vals[i]
+		if len(out) == 0 || out[len(out)-1].Key != k {
+			out = append(out, GroupAgg{Key: k, Min: v, Max: v})
+		}
+		a := &out[len(out)-1]
+		a.Count++
+		a.Sum += v
+		a.Min = min(a.Min, v)
+		a.Max = max(a.Max, v)
+	}
+	return out
+}
+
+// scenarioReport is the one report builder for a scenario route run: the
+// I/O delta io in passes over the plan's padded length paddedN.
+func (m *Machine) scenarioReport(spec ScenarioSpec, run routeRun, paddedN int, io pdm.Stats) *Report {
+	stripe := m.a.StripeWidth()
+	rep := &Report{
+		Algorithm:     run.alg,
+		N:             spec.N + spec.Batch,
+		Passes:        io.Passes(paddedN, stripe),
+		ReadPasses:    io.ReadPasses(paddedN, stripe),
+		WritePasses:   io.WritePasses(paddedN, stripe),
+		IO:            io,
+		PaddedN:       paddedN,
+		FellBack:      run.fellBack,
+		Scenario:      spec.Kind,
+		ScenarioRoute: run.route,
+		PayloadWords:  (spec.pairWords() - 1) * spec.N,
+	}
+	rep.pipelineMetrics(io, m.a.Workers())
+	return rep
 }

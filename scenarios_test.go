@@ -237,6 +237,9 @@ func TestGroupByOracle(t *testing.T) {
 		{"onepass", workload.FewDistinct(12000, 300, 21), 300, "onepass"},
 		{"partition", workload.Perm(6000, 23), 6000, "partition"},
 		{"fullsort", workload.Perm(20000, 25), 20000, "fullsort"},
+		// The partition route fits these groups but its own plan prices it
+		// above the in-memory sort: the plan's decision must hold.
+		{"plan-rejects-partition", workload.FewDistinct(1024, 600, 7), 600, "fullsort"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			payloads := workload.Uniform(len(tc.keys), -500, 500, 27)

@@ -41,6 +41,9 @@ func TestSchedulerScenarioJobs(t *testing.T) {
 	gkeys := scenarioJobOracle(t, &WorkloadSpec{Kind: "fewdistinct", N: n, Distinct: 300, Seed: 51})
 	payloads := scenarioJobOracle(t, &WorkloadSpec{Kind: "uniform", N: n, Seed: 52})
 	batch := scenarioJobOracle(t, &WorkloadSpec{Kind: "uniform", N: 1024, Seed: 53})
+	// Groups the partition route fits but its plan prices above the
+	// in-memory sort.
+	lkeys := scenarioJobOracle(t, &WorkloadSpec{Kind: "fewdistinct", N: 1024, Distinct: 600, Seed: 7})
 
 	specs := map[string]JobSpec{
 		"topk": {Scenario: "topk", TopK: 64, Label: "topk",
@@ -51,6 +54,8 @@ func TestSchedulerScenarioJobs(t *testing.T) {
 			Keys: append([]int64(nil), gkeys...), GroupPayloads: payloads},
 		"ingest": {Scenario: "ingest", IngestBatch: batch, KeepKeys: true, Label: "ingest",
 			Workload: &WorkloadSpec{Kind: "sorted", N: n}},
+		"groupby-losing-route": {Scenario: "groupby", Groups: 600, Label: "groupby-losing-route",
+			Keys: append([]int64(nil), lkeys...)},
 	}
 	ids := map[string]int{}
 	for kind, spec := range specs {
@@ -60,7 +65,8 @@ func TestSchedulerScenarioJobs(t *testing.T) {
 		}
 		ids[kind] = id
 	}
-	for kind, id := range ids {
+	for name, id := range ids {
+		kind := specs[name].Scenario
 		st, err := s.Wait(context.Background(), id)
 		if err != nil {
 			t.Fatalf("%s: wait: %v", kind, err)
@@ -77,6 +83,11 @@ func TestSchedulerScenarioJobs(t *testing.T) {
 		if st.Report == nil || st.Report.Scenario != kind {
 			t.Fatalf("%s: report = %+v", kind, st.Report)
 		}
+		// Unless a detected miss fell back, the route that ran is the route
+		// the plan recorded.
+		if ran := kind + "/" + st.Report.ScenarioRoute; !st.Report.FellBack && st.Planned.Algorithm != ran {
+			t.Fatalf("%s: planned %s, ran %s", name, st.Planned.Algorithm, ran)
+		}
 		if st.ArenaLeak != 0 {
 			t.Fatalf("%s: leaked %d arena keys", kind, st.ArenaLeak)
 		}
@@ -87,7 +98,7 @@ func TestSchedulerScenarioJobs(t *testing.T) {
 		if res.Kind != kind {
 			t.Fatalf("%s: result kind %q", kind, res.Kind)
 		}
-		switch kind {
+		switch name {
 		case "topk":
 			want := scenarioJobOracle(t, specs[kind].Workload)
 			slices.Sort(want)
@@ -104,6 +115,10 @@ func TestSchedulerScenarioJobs(t *testing.T) {
 			want := groupOracle(gkeys, payloads)
 			if !slices.Equal(flattenAggs(res.Groups), flattenAggs(want)) {
 				t.Fatal("groupby result != map oracle")
+			}
+		case "groupby-losing-route":
+			if !slices.Equal(flattenAggs(res.Groups), flattenAggs(groupOracle(lkeys, nil))) {
+				t.Fatal("groupby-losing-route result != map oracle")
 			}
 		case "ingest":
 			dataset := scenarioJobOracle(t, specs[kind].Workload)

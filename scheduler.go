@@ -425,6 +425,7 @@ type aggregate struct {
 // schedJob pairs the engine handle with the facade-side result state.
 type schedJob struct {
 	spec      JobSpec
+	scenario  *ScenarioSpec
 	alg       Algorithm
 	n         int
 	isRecords bool
@@ -531,7 +532,7 @@ func (s *Scheduler) resubmitRecovered() {
 			s.eng.DropRecovered(rec.ID, err)
 			continue
 		}
-		j := &schedJob{spec: spec, alg: r.alg, n: r.n, isRecords: r.payloadWords >= 0, presorted: r.presorted}
+		j := r.job(spec)
 		j.recovery = &RecoveryInfo{RecoveredAt: time.Now(), WasRunning: rec.WasRunning}
 		// Resume needs re-openable scratch with exact block addressing:
 		// the file backend, a bare-keys comparison sort, and a manifest
@@ -541,7 +542,7 @@ func (s *Scheduler) resubmitRecovered() {
 		// input (the journal still pins the job's identity and FIFO
 		// position).
 		if rec.WasRunning && len(rec.Checkpoint) > 0 && !r.radix && !j.isRecords &&
-			r.scenario == "" && s.cfg.Dir != "" && r.mc.Backend != BackendMmap {
+			r.scenario == nil && s.cfg.Dir != "" && r.mc.Backend != BackendMmap {
 			var cp pdm.Checkpoint
 			if err := json.Unmarshal(rec.Checkpoint, &cp); err == nil && cp.Pass > 0 {
 				j.resume = &cp
@@ -583,12 +584,15 @@ type jobResolution struct {
 	padded       int
 	disk         int
 	presorted    float64
-	// scenario names the query-scenario kind ("" for plain sorts);
-	// scenBatch and scenPairWords carry the ingest batch size and the
-	// group-by record width for envelope sizing and planning.
-	scenario      string
-	scenBatch     int
-	scenPairWords int
+	// scenario is the validated query scenario the job answers (nil for
+	// plain sorts), priced for envelope sizing and planning.
+	scenario *ScenarioSpec
+}
+
+// job builds the scheduler-side state of a job resolved from spec.
+func (r *jobResolution) job(spec JobSpec) *schedJob {
+	return &schedJob{spec: spec, scenario: r.scenario, alg: r.alg, n: r.n,
+		isRecords: r.payloadWords >= 0, presorted: r.presorted}
 }
 
 // resolveJobSpec validates spec and resolves everything admission and
@@ -624,6 +628,7 @@ func (s *Scheduler) resolveJobSpec(spec JobSpec) (*jobResolution, error) {
 		if err := resolveScenario(spec, r); err != nil {
 			return nil, err
 		}
+		r.n += r.scenario.Batch
 	} else if len(spec.IngestBatch) > 0 || spec.GroupPayloads != nil {
 		return nil, fmt.Errorf("repro: ingestBatch/groupPayloads are only valid on scenario jobs")
 	}
@@ -705,18 +710,23 @@ func (s *Scheduler) resolveJobSpec(spec JobSpec) (*jobResolution, error) {
 			r.disk = env
 		}
 	}
-	if r.scenario != "" {
+	if sc := r.scenario; sc != nil {
+		// The scenario driver's own rules, checked against the job's inline
+		// columns before anything is admitted.
+		shape := planShape(r.pcfg.Mem, r.pcfg.D, r.alpha)
+		in := scenarioInput{keys: spec.Keys, payloads: spec.GroupPayloads, batch: spec.IngestBatch}
+		if _, err := scenarioPlanFor(shape, *sc, in); err != nil {
+			return nil, err
+		}
 		// A scenario job's scratch high-water is the larger of its scenario
 		// route and the full-sort route it may fall back to (computed above).
-		shape := planShape(r.pcfg.Mem, r.pcfg.D, r.alpha)
-		nData := r.n - r.scenBatch
-		if env := plan.ScenarioDiskEnvelope(r.scenario, shape, nData, r.scenBatch, r.scenPairWords); env > r.disk {
+		if env := plan.ScenarioDiskEnvelope(sc.Kind, shape, sc.N, sc.Batch, sc.pairWords()); env > r.disk {
 			r.disk = env
 		}
-		if r.scenPairWords == 2 {
+		if sc.pairWords() == 2 {
 			// The group-by sort route carries the payload column as one
 			// 8-byte record payload per key.
-			if env := records.DiskEnvelope(nData, nData, r.pcfg.Mem, r.pcfg.D, r.pcfg.B); env > r.disk {
+			if env := records.DiskEnvelope(sc.N, sc.N, r.pcfg.Mem, r.pcfg.D, r.pcfg.B); env > r.disk {
 				r.disk = env
 			}
 		}
@@ -724,10 +734,10 @@ func (s *Scheduler) resolveJobSpec(spec JobSpec) (*jobResolution, error) {
 	return r, nil
 }
 
-// resolveScenario validates the scenario fields of spec into r: the kind,
-// its parameters against the resolved input size, and the geometry inputs
-// envelope sizing needs.  For ingest the batch joins r.n — the job's full
-// working set (and what the re-sort fallback would sort).
+// resolveScenario resolves the scenario fields of spec into r.scenario,
+// after the rules that concern where a scenario job's input comes from;
+// the kind→parameter rules are the scenario driver's (scenarioPlanFor),
+// checked once the job's geometry is resolved.
 func resolveScenario(spec JobSpec, r *jobResolution) error {
 	if spec.Universe != 0 {
 		return fmt.Errorf("repro: scenario %q jobs use comparison sorts, not RadixSort (universe)", spec.Scenario)
@@ -735,44 +745,18 @@ func resolveScenario(spec JobSpec, r *jobResolution) error {
 	if r.payloadWords >= 0 {
 		return fmt.Errorf("repro: scenario %q jobs take no byte payloads (group-by aggregates groupPayloads)", spec.Scenario)
 	}
-	if len(spec.IngestBatch) > 0 && spec.Scenario != "ingest" {
-		return fmt.Errorf("repro: ingestBatch is only valid with scenario \"ingest\", not %q", spec.Scenario)
-	}
-	if spec.GroupPayloads != nil && spec.Scenario != "groupby" {
-		return fmt.Errorf("repro: groupPayloads are only valid with scenario \"groupby\", not %q", spec.Scenario)
-	}
-	r.scenario = spec.Scenario
-	r.scenPairWords = 1
-	switch spec.Scenario {
-	case "topk":
-		if spec.TopK < 1 || spec.TopK > r.n {
-			return fmt.Errorf("repro: topK = %d outside [1, %d]", spec.TopK, r.n)
-		}
-	case "quantile":
-		if spec.Rank < 1 || spec.Rank > r.n {
-			return fmt.Errorf("repro: rank = %d outside [1, %d]", spec.Rank, r.n)
-		}
-	case "groupby":
+	if w := spec.Workload; w != nil {
 		if spec.GroupPayloads != nil {
-			if spec.Workload != nil {
-				return fmt.Errorf("repro: groupPayloads require inline keys, not a workload")
-			}
-			if len(spec.GroupPayloads) != r.n {
-				return fmt.Errorf("repro: %d keys but %d groupPayloads", r.n, len(spec.GroupPayloads))
-			}
-			r.scenPairWords = 2
+			return fmt.Errorf("repro: groupPayloads require inline keys, not a workload")
 		}
-	case "ingest":
-		if spec.Workload != nil && spec.Workload.Kind != "sorted" {
-			return fmt.Errorf("repro: ingest needs a sorted dataset; workload kind %q is not %q", spec.Workload.Kind, "sorted")
+		if spec.Scenario == "ingest" && w.Kind != "sorted" {
+			return fmt.Errorf("repro: ingest needs a sorted dataset; workload kind %q is not %q", w.Kind, "sorted")
 		}
-		if len(spec.IngestBatch) == 0 {
-			return fmt.Errorf("repro: ingest needs a non-empty ingestBatch")
-		}
-		r.scenBatch = len(spec.IngestBatch)
-		r.n += r.scenBatch
-	default:
-		return fmt.Errorf("repro: unknown scenario %q (want topk|quantile|groupby|ingest)", spec.Scenario)
+	}
+	r.scenario = &ScenarioSpec{Kind: spec.Scenario, N: r.n, K: spec.TopK, Rank: spec.Rank,
+		Groups: spec.Groups, PairWords: 1, Batch: len(spec.IngestBatch)}
+	if spec.GroupPayloads != nil {
+		r.scenario.PairWords = 2
 	}
 	return nil
 }
@@ -801,7 +785,7 @@ func (s *Scheduler) Submit(spec JobSpec) (int, error) {
 	if err != nil {
 		return 0, err
 	}
-	j := &schedJob{spec: spec, alg: r.alg, n: r.n, isRecords: r.payloadWords >= 0, presorted: r.presorted}
+	j := r.job(spec)
 	var specBytes []byte
 	if s.jr != nil {
 		specBytes, err = json.Marshal(journalSpec{
@@ -993,7 +977,7 @@ func (s *Scheduler) sortAttempt(ctx context.Context, env sched.Env, j *schedJob,
 	t0 := time.Now()
 	var rep *Report
 	switch {
-	case j.spec.Scenario != "":
+	case j.scenario != nil:
 		rep, err = s.runScenario(ctx, m, j, keys)
 	case j.spec.Universe > 0:
 		rep, err = m.SortIntsContext(ctx, keys, j.spec.Universe)
@@ -1019,35 +1003,21 @@ type ScenarioResult struct {
 	Groups []GroupAgg `json:"groups,omitempty"`
 }
 
-// runScenario dispatches a scenario job to its Machine entry point and
-// stores the result on the job.  Top-K, quantile, and group-by results are
-// always retained (they are bounded by the scenario budget, not the input
-// size); the merged ingest output is retained only under KeepKeys, like a
-// sort's.
+// runScenario runs a scenario job through the machine's scenario driver,
+// bound to ctx with SortContext's abort semantics, and stores the result
+// on the job.  Top-K, quantile, and group-by results are always retained
+// (they are bounded by the scenario budget, not the input size); the
+// merged ingest output is retained only under KeepKeys, like a sort's.
 func (s *Scheduler) runScenario(ctx context.Context, m *Machine, j *schedJob, keys []int64) (*Report, error) {
-	res := &ScenarioResult{Kind: j.spec.Scenario}
-	var rep *Report
-	var err error
-	switch j.spec.Scenario {
-	case "topk":
-		res.Keys, rep, err = m.TopKContext(ctx, keys, j.spec.TopK)
-	case "quantile":
-		var v int64
-		v, rep, err = m.QuantileContext(ctx, keys, j.spec.Rank)
-		res.Value = &v
-	case "groupby":
-		res.Groups, rep, err = m.GroupByContext(ctx, keys, j.spec.GroupPayloads, j.spec.Groups)
-	case "ingest":
-		var merged []int64
-		merged, rep, err = m.IngestContext(ctx, keys, j.spec.IngestBatch)
-		if j.spec.KeepKeys {
-			res.Keys = merged
-		}
-	default:
-		return nil, fmt.Errorf("repro: unknown scenario %q", j.spec.Scenario)
-	}
+	m.a.BindContext(ctx)
+	defer m.a.BindContext(nil)
+	res, rep, err := m.answerScenario(*j.scenario,
+		scenarioInput{keys: keys, payloads: j.spec.GroupPayloads, batch: j.spec.IngestBatch})
 	if err != nil {
 		return rep, err
+	}
+	if j.scenario.Kind == "ingest" && !j.spec.KeepKeys {
+		res.Keys = nil
 	}
 	j.mu.Lock()
 	j.scen = res
@@ -1083,18 +1053,10 @@ func (s *Scheduler) ExplainScenario(spec JobSpec) (*ScenarioPlanReport, error) {
 	if err != nil {
 		return nil, err
 	}
-	if r.scenario == "" {
+	if r.scenario == nil {
 		return nil, fmt.Errorf("repro: JobSpec has no scenario")
 	}
-	p, err := scenarioPlanFor(planShape(r.pcfg.Mem, r.pcfg.D, r.alpha), ScenarioSpec{
-		Kind:      r.scenario,
-		N:         r.n - r.scenBatch,
-		K:         spec.TopK,
-		Rank:      spec.Rank,
-		Groups:    spec.Groups,
-		PairWords: r.scenPairWords,
-		Batch:     r.scenBatch,
-	})
+	p, err := scenarioPlanFor(planShape(r.pcfg.Mem, r.pcfg.D, r.alpha), *r.scenario, scenarioInput{})
 	if err != nil {
 		return nil, err
 	}
@@ -1126,8 +1088,8 @@ func (s *Scheduler) noteRecovery(j *schedJob, pass int) {
 // reports it alongside the measured wall so per-job prediction drift is
 // visible.  Planning failures are non-fatal — the sort proceeds unplanned.
 func (j *schedJob) recordPlan(m *Machine, keys []int64, payloads [][]byte) {
-	if j.spec.Scenario != "" {
-		j.recordScenarioPlan(m, len(keys))
+	if j.scenario != nil {
+		j.recordScenarioPlan(m)
 		return
 	}
 	spec := SortSpec{N: len(keys), Universe: j.spec.Universe, Presorted: j.presorted}
@@ -1160,20 +1122,8 @@ func (j *schedJob) recordPlan(m *Machine, keys []int64, payloads [][]byte) {
 // scenario plan's read passes under its named route (no wall-seconds model
 // exists for scenario routes, so PredictedSeconds stays zero and the drift
 // field is not computed).
-func (j *schedJob) recordScenarioPlan(m *Machine, n int) {
-	pairWords := 1
-	if j.spec.GroupPayloads != nil {
-		pairWords = 2
-	}
-	p, err := m.ExplainScenario(ScenarioSpec{
-		Kind:      j.spec.Scenario,
-		N:         n,
-		K:         j.spec.TopK,
-		Rank:      j.spec.Rank,
-		Groups:    j.spec.Groups,
-		PairWords: pairWords,
-		Batch:     len(j.spec.IngestBatch),
-	})
+func (j *schedJob) recordScenarioPlan(m *Machine) {
+	p, err := m.ExplainScenario(*j.scenario)
 	if err != nil {
 		return
 	}
@@ -1188,7 +1138,7 @@ func (j *schedJob) recordScenarioPlan(m *Machine, n int) {
 	}
 	j.mu.Lock()
 	j.planned = &PlannedJob{
-		Algorithm:       j.spec.Scenario + "/" + route,
+		Algorithm:       j.scenario.Kind + "/" + route,
 		PredictedPasses: passes,
 	}
 	j.mu.Unlock()
