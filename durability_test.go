@@ -18,7 +18,7 @@ import (
 // NewScheduler over the same JournalDir and Dir resumes it from that pass —
 // with an end state bit-identical to an uninterrupted run — while queued
 // jobs re-admit in their original FIFO order.  These tests exercise the
-// whole facade path (journalSpec round-trip, manifest arming, resume,
+// whole facade path (JobSpec JSON round-trip, manifest arming, resume,
 // restart-from-input fallback) in-process; the daemon-level SIGKILL
 // variant lives in cmd/pdmd's e2e test.
 

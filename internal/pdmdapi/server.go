@@ -1,6 +1,7 @@
 package pdmdapi
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -31,45 +32,8 @@ type Options struct {
 }
 
 // SubmitRequest is the POST /jobs body (and, minus the inline input, the
-// POST /uploads/{id}/commit body).
-type SubmitRequest struct {
-	Keys []int64 `json:"keys,omitempty"`
-	// Payloads (base64-encoded byte strings, one per key) make the job a
-	// full-record sort; so does a workload with a "payload" spec.
-	Payloads [][]byte            `json:"payloads,omitempty"`
-	Workload *repro.WorkloadSpec `json:"workload,omitempty"`
-	// Alg names the algorithm (auto|one|mesh3|mesh2e|lmm3|exp2|exp3|seven|
-	// six|sevenmesh); "radix" selects the Section 7 RadixSort, whose key
-	// universe defaults to 2^32 unless set.
-	Alg      string `json:"alg,omitempty"`
-	Universe int64  `json:"universe,omitempty"`
-	Memory   int    `json:"memory,omitempty"`
-	Disks    int    `json:"disks,omitempty"`
-	Workers  int    `json:"workers,omitempty"`
-	// BlockLatencyUS models per-block device latency in microseconds.
-	BlockLatencyUS int64 `json:"blockLatencyUs,omitempty"`
-	// Backend overrides the scheduler's disk backend for this job ("file"
-	// or "mmap"); valid only on a file-backed scheduler.
-	Backend string `json:"backend,omitempty"`
-	// Kernel overrides the scheduler's in-memory sort kernel for this job
-	// ("auto", "comparison", or "radix"); output is identical either way.
-	Kernel   string `json:"kernel,omitempty"`
-	KeepKeys bool   `json:"keepKeys,omitempty"`
-	Label    string `json:"label,omitempty"`
-
-	// Scenario makes the job a query scenario instead of a sort: "topk",
-	// "quantile", "groupby", or "ingest", parameterized by the fields
-	// below (see repro.JobSpec).  Results come back from GET
-	// /jobs/{id}/result (and /groups for groupby).
-	Scenario string `json:"scenario,omitempty"`
-	TopK     int    `json:"topK,omitempty"`
-	Rank     int    `json:"rank,omitempty"`
-	Groups   int    `json:"groups,omitempty"`
-	// GroupPayloads is the group-by aggregation column, paired with Keys.
-	GroupPayloads []int64 `json:"groupPayloads,omitempty"`
-	// IngestBatch is the batch folded into the sorted Keys dataset.
-	IngestBatch []int64 `json:"ingestBatch,omitempty"`
-}
+// POST /uploads/{id}/commit body): repro.JobSpec's own JSON encoding.
+type SubmitRequest = repro.JobSpec
 
 // server wraps the scheduler with the HTTP surface.
 type server struct {
@@ -145,85 +109,50 @@ func (s *server) healthz(w http.ResponseWriter, r *http.Request) {
 func (s *server) decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, s.opts.MaxBody))
 	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
-		code := http.StatusBadRequest
-		var tooLarge *http.MaxBytesError
-		if errors.As(err, &tooLarge) {
-			code = http.StatusRequestEntityTooLarge
-		}
-		writeError(w, code, fmt.Errorf("bad request body: %w", err))
+	return bodyOK(w, dec.Decode(v))
+}
+
+// bodyOK answers a request body that failed to read or decode: 413 past
+// the size cap, 400 otherwise.
+func bodyOK(w http.ResponseWriter, err error) bool {
+	if err == nil {
+		return true
+	}
+	code := http.StatusBadRequest
+	var tooLarge *http.MaxBytesError
+	if errors.As(err, &tooLarge) {
+		code = http.StatusRequestEntityTooLarge
+	}
+	writeError(w, code, fmt.Errorf("bad request body: %w", err))
+	return false
+}
+
+// decodeSpec reads a submit (or plan) body into a JobSpec.  The
+// scheduler budgets every byte a job holds; the decode must not be the
+// unbudgeted exception, so the body is read under the same hard cap as
+// decodeBody's.  JobSpec's UnmarshalJSON (which rejects unknown fields
+// itself) is called directly: through a json.Decoder, a custom
+// unmarshaler runs only after two more scans of the whole body.
+func (s *server) decodeSpec(w http.ResponseWriter, r *http.Request) (SubmitRequest, bool) {
+	var req SubmitRequest
+	var body bytes.Buffer // grows by doubling; io.ReadAll's smaller steps copy more
+	_, err := body.ReadFrom(http.MaxBytesReader(w, r.Body, s.opts.MaxBody))
+	if err == nil {
+		err = req.UnmarshalJSON(body.Bytes())
+	}
+	return req, bodyOK(w, err) && checkRequest(w, req)
+}
+
+// checkRequest applies the one submit rule a JobSpec does not carry
+// itself: a scenario job's fallback sort is the planner's pick, so a
+// request may not force an algorithm.  The journal records the resolved
+// algorithm for scenario jobs too, which is why replay skips this rule.
+func checkRequest(w http.ResponseWriter, req SubmitRequest) bool {
+	if req.Scenario != "" && req.Algorithm != repro.Auto {
+		writeError(w, http.StatusBadRequest, fmt.Errorf("alg %v is not valid on a scenario job (the planner picks)", req.Algorithm))
 		return false
 	}
 	return true
-}
-
-// specFromRequest validates a SubmitRequest into a JobSpec.  The scheduler
-// budgets every byte a job holds; the decode must not be the unbudgeted
-// exception, so callers decode through decodeBody's hard cap first.
-func specFromRequest(w http.ResponseWriter, req SubmitRequest) (repro.JobSpec, bool) {
-	spec := repro.JobSpec{
-		Keys:          req.Keys,
-		Payloads:      req.Payloads,
-		Workload:      req.Workload,
-		Universe:      req.Universe,
-		Memory:        req.Memory,
-		Disks:         req.Disks,
-		Workers:       req.Workers,
-		BlockLatency:  time.Duration(req.BlockLatencyUS) * time.Microsecond,
-		Backend:       req.Backend,
-		Kernel:        req.Kernel,
-		KeepKeys:      req.KeepKeys,
-		Label:         req.Label,
-		Scenario:      req.Scenario,
-		TopK:          req.TopK,
-		Rank:          req.Rank,
-		Groups:        req.Groups,
-		GroupPayloads: req.GroupPayloads,
-		IngestBatch:   req.IngestBatch,
-	}
-	if req.Scenario != "" {
-		// Scenario routes plan their own (fallback) sort; a forced
-		// algorithm or radix universe contradicts that.
-		if req.Alg != "" && req.Alg != "auto" {
-			writeError(w, http.StatusBadRequest, fmt.Errorf("alg %q is not valid on a scenario job (the planner picks)", req.Alg))
-			return repro.JobSpec{}, false
-		}
-		if req.Universe != 0 {
-			writeError(w, http.StatusBadRequest, fmt.Errorf("universe is not valid on a scenario job"))
-			return repro.JobSpec{}, false
-		}
-		return spec, true
-	}
-	if req.Alg == "radix" {
-		if spec.Universe < 0 {
-			writeError(w, http.StatusBadRequest, fmt.Errorf("universe %d: want > 0", spec.Universe))
-			return repro.JobSpec{}, false
-		}
-		if spec.Universe == 0 {
-			spec.Universe = 1 << 32
-		}
-	} else {
-		if spec.Universe != 0 {
-			writeError(w, http.StatusBadRequest, fmt.Errorf("universe is only valid with alg=radix"))
-			return repro.JobSpec{}, false
-		}
-		alg, err := repro.ParseAlgorithm(req.Alg)
-		if err != nil {
-			writeError(w, http.StatusBadRequest, err)
-			return repro.JobSpec{}, false
-		}
-		spec.Algorithm = alg
-	}
-	return spec, true
-}
-
-// decodeSpec reads and validates a submit (or plan) body into a JobSpec.
-func (s *server) decodeSpec(w http.ResponseWriter, r *http.Request) (repro.JobSpec, bool) {
-	var req SubmitRequest
-	if !s.decodeBody(w, r, &req) {
-		return repro.JobSpec{}, false
-	}
-	return specFromRequest(w, req)
 }
 
 // submitSpec runs the shared admission path: submit, classify the error,

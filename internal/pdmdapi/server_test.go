@@ -210,6 +210,9 @@ func TestSubmitRejections(t *testing.T) {
 		{"alg": "lmm3", "keys": []int64{1}, "memory": 1000},
 		{"alg": "lmm3", "keys": []int64{1}, "nonsense": true},
 		{"workload": map[string]any{"kind": "wat", "n": 4}},
+		{"workload": map[string]any{"kind": "uniform", "n": 5000, "seed": 1}, "disks": -2},
+		{"alg": "lmm3", "keys": []int64{1}, "workers": -1},
+		{"alg": "lmm3", "keys": []int64{1}, "blockLatencyUs": -1},
 	}
 	for i, body := range cases {
 		resp, obj := postJSON(t, ts.URL+"/jobs", body)

@@ -95,33 +95,18 @@ func (alg Algorithm) String() string {
 	}
 }
 
-// ParseAlgorithm maps the CLI/service short names (auto, mesh3, mesh2e,
-// lmm3, exp2, exp3, seven, six) to Algorithm values.
+// ParseAlgorithm maps the CLI/service short names to Algorithm values:
+// "auto" (or "") is Auto, and every other name is the planner's candidate
+// name for that algorithm (one, mesh3, mesh2e, lmm3, exp2, exp3, seven,
+// six, sevenmesh).
 func ParseAlgorithm(name string) (Algorithm, error) {
-	switch name {
-	case "auto", "":
+	if name == "auto" || name == "" {
 		return Auto, nil
-	case "mesh3":
-		return ThreePassMesh, nil
-	case "mesh2e":
-		return TwoPassMeshExpected, nil
-	case "lmm3":
-		return ThreePassLMM, nil
-	case "exp2":
-		return TwoPassExpected, nil
-	case "exp3":
-		return ThreePassExpected, nil
-	case "seven":
-		return SevenPass, nil
-	case "six":
-		return SixPassExpected, nil
-	case "sevenmesh":
-		return SevenPassMesh, nil
-	case "one":
-		return MemOnePass, nil
-	default:
-		return 0, fmt.Errorf("repro: unknown algorithm %q (want auto|one|mesh3|mesh2e|lmm3|exp2|exp3|seven|six|sevenmesh)", name)
 	}
+	if alg, ok := algFromPlan(plan.Alg(name)); ok {
+		return alg, nil
+	}
+	return 0, fmt.Errorf("repro: unknown algorithm %q (want auto|one|mesh3|mesh2e|lmm3|exp2|exp3|seven|six|sevenmesh)", name)
 }
 
 // planAlg maps the facade enum onto the planner's candidate names (the
@@ -338,28 +323,18 @@ func newMachine(cfg MachineConfig, lim *par.Limiter) (*Machine, error) {
 	}
 	pcfg.Limiter = lim
 	var disks []pdm.Disk
-	if cfg.Dir != "" {
-		switch {
-		case cfg.ReuseDisks && cfg.Backend == BackendMmap:
-			return nil, fmt.Errorf("repro: ReuseDisks requires the file backend, not %q", cfg.Backend)
-		case cfg.ReuseDisks:
-			disks, err = pdm.OpenFileDisks(cfg.Dir, pcfg.D, pcfg.B)
-		case cfg.Backend == BackendMmap:
-			disks, err = pdm.NewMmapDisks(cfg.Dir, pcfg.D, pcfg.B)
-		default:
-			disks, err = pdm.NewFileDisks(cfg.Dir, pcfg.D, pcfg.B)
-		}
-		if err != nil {
-			return nil, err
-		}
-	} else {
-		if cfg.ReuseDisks {
-			return nil, fmt.Errorf("repro: ReuseDisks requires Dir")
-		}
-		if cfg.Backend != "" {
-			return nil, fmt.Errorf("repro: Backend = %q requires Dir (in-memory machines have no disk backend)", cfg.Backend)
-		}
+	switch {
+	case cfg.ReuseDisks:
+		disks, err = pdm.OpenFileDisks(cfg.Dir, pcfg.D, pcfg.B)
+	case cfg.Backend == BackendMmap:
+		disks, err = pdm.NewMmapDisks(cfg.Dir, pcfg.D, pcfg.B)
+	case cfg.Dir != "":
+		disks, err = pdm.NewFileDisks(cfg.Dir, pcfg.D, pcfg.B)
+	default:
 		disks = pdm.NewMemDisks(pcfg.D, pcfg.B)
+	}
+	if err != nil {
+		return nil, err
 	}
 	if cfg.BlockLatency > 0 {
 		for i, d := range disks {
@@ -373,30 +348,42 @@ func newMachine(cfg MachineConfig, lim *par.Limiter) (*Machine, error) {
 	return &Machine{a: a, alpha: alpha, cfg: cfg}, nil
 }
 
-// resolveConfig validates cfg and resolves it to the pdm configuration
-// (without backend-specific fields) plus the effective alpha.  The
-// scheduler uses it at submit time to size a job's memory envelope before
-// any resources exist.
+// resolveConfig is the one validator of a machine's knobs: it checks
+// every field of cfg and resolves it to the pdm configuration (without
+// backend-specific fields) plus the effective alpha.  NewMachine, and the
+// scheduler for its defaults and for each job's merged overrides, call it
+// before any resources exist.
 func resolveConfig(cfg MachineConfig) (pdm.Config, float64, error) {
 	b := memsort.Isqrt(cfg.Memory)
-	if b*b != cfg.Memory {
-		return pdm.Config{}, 0, fmt.Errorf("repro: Memory = %d is not a perfect square", cfg.Memory)
-	}
 	d := cfg.Disks
 	if d == 0 {
-		d = b / 4
-		if d == 0 {
-			d = 1
-		}
+		d = max(b/4, 1)
 	}
-	if b%d != 0 {
-		return pdm.Config{}, 0, fmt.Errorf("repro: Disks = %d does not divide sqrt(Memory) = %d", d, b)
+	var err error
+	switch {
+	case cfg.Memory < 1 || b*b != cfg.Memory:
+		err = fmt.Errorf("repro: Memory = %d is not a positive perfect square", cfg.Memory)
+	case d < 1:
+		err = fmt.Errorf("repro: Disks = %d, want >= 1", d)
+	case b%d != 0:
+		err = fmt.Errorf("repro: Disks = %d does not divide sqrt(Memory) = %d", d, b)
+	case cfg.Workers < 0:
+		err = fmt.Errorf("repro: Workers = %d, want >= 0", cfg.Workers)
+	case cfg.Pipeline.Prefetch < 0 || cfg.Pipeline.WriteBehind < 0:
+		err = fmt.Errorf("repro: pipeline depths %+v, want >= 0", cfg.Pipeline)
+	case cfg.BlockLatency < 0:
+		err = fmt.Errorf("repro: BlockLatency = %v, want >= 0", cfg.BlockLatency)
+	case !validBackend(cfg.Backend):
+		err = fmt.Errorf("repro: unknown backend %q (want %q or %q)", cfg.Backend, BackendFile, BackendMmap)
+	case cfg.Backend != "" && cfg.Dir == "":
+		err = fmt.Errorf("repro: backend %q requires Dir (in-memory machines have no disk backend)", cfg.Backend)
+	case cfg.ReuseDisks && (cfg.Dir == "" || cfg.Backend == BackendMmap):
+		err = fmt.Errorf("repro: ReuseDisks requires Dir and the file backend")
+	case !validKernel(cfg.Kernel):
+		err = fmt.Errorf("repro: unknown kernel %q (want %q, %q, or %q)", cfg.Kernel, KernelAuto, KernelComparison, KernelRadix)
 	}
-	if !validBackend(cfg.Backend) {
-		return pdm.Config{}, 0, fmt.Errorf("repro: unknown backend %q (want %q or %q)", cfg.Backend, BackendFile, BackendMmap)
-	}
-	if !validKernel(cfg.Kernel) {
-		return pdm.Config{}, 0, fmt.Errorf("repro: unknown kernel %q (want %q, %q, or %q)", cfg.Kernel, KernelAuto, KernelComparison, KernelRadix)
+	if err != nil {
+		return pdm.Config{}, 0, err
 	}
 	alpha := cfg.Alpha
 	if alpha == 0 {

@@ -25,6 +25,16 @@ func TestNewMachineValidation(t *testing.T) {
 	if _, err := NewMachine(MachineConfig{Memory: 1024, Disks: 7}); err == nil {
 		t.Fatal("non-dividing disk count accepted")
 	}
+	for _, cfg := range []MachineConfig{
+		{Memory: 1024, Disks: -2},
+		{Memory: 1024, Workers: -1},
+		{Memory: 1024, Pipeline: PipelineConfig{Prefetch: -1}},
+		{Memory: 1024, BlockLatency: -1},
+	} {
+		if _, err := NewMachine(cfg); err == nil {
+			t.Fatalf("%+v accepted", cfg)
+		}
+	}
 	m, err := NewMachine(MachineConfig{Memory: 1024})
 	if err != nil {
 		t.Fatal(err)

@@ -189,7 +189,7 @@ func TestSchedulerExplainScenario(t *testing.T) {
 
 // TestSchedulerScenarioJournalRoundTrip queues a scenario job behind a
 // latency-slowed sort in a journaled scheduler, drains, and reopens: the
-// scenario JobSpec fields must survive the journalSpec round-trip and the
+// scenario JobSpec fields must survive the JobSpec JSON round-trip and the
 // job must complete with the oracle result in the next life.
 func TestSchedulerScenarioJournalRoundTrip(t *testing.T) {
 	dir, jdir := t.TempDir(), t.TempDir()

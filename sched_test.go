@@ -362,12 +362,25 @@ func TestSchedulerSubmitValidation(t *testing.T) {
 	if _, err := s.Submit(JobSpec{Keys: []int64{1, 2}, Memory: 1000}); err == nil {
 		t.Fatal("non-square job memory accepted")
 	}
+	for _, spec := range []JobSpec{
+		{Keys: []int64{1, 2}, Disks: -2},
+		{Keys: []int64{1, 2}, Workers: -1},
+		{Keys: []int64{1, 2}, BlockLatency: -1},
+		{Keys: []int64{1, 2}, Backend: BackendMmap}, // in-memory scheduler
+	} {
+		if _, err := s.Submit(spec); err == nil {
+			t.Fatalf("%+v accepted", spec)
+		}
+	}
 	// A job whose envelope exceeds the whole budget is rejected at submit.
 	if _, err := s.Submit(JobSpec{Keys: []int64{1, 2}, Memory: 4096}); err == nil {
 		t.Fatal("oversized job accepted")
 	}
 	if _, err := NewScheduler(SchedulerConfig{Memory: 8000, JobMemory: 1000}); err == nil {
 		t.Fatal("non-square JobMemory accepted")
+	}
+	if _, err := NewScheduler(SchedulerConfig{Memory: 8000, Pipeline: PipelineConfig{Prefetch: -1}}); err == nil {
+		t.Fatal("negative default pipeline depth accepted")
 	}
 	if _, err := NewScheduler(SchedulerConfig{}); err == nil {
 		t.Fatal("zero memory budget accepted")

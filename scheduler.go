@@ -1,6 +1,7 @@
 package repro
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -206,10 +207,12 @@ type JobSpec struct {
 	// payloads when Workload.Payload is set).
 	Workload *WorkloadSpec `json:"workload,omitempty"`
 	// Algorithm selects the paper algorithm (Auto plans from N).  Ignored
-	// when Universe is set.
+	// when Universe is set.  On the wire it is "alg", the planner's short
+	// name (see ParseAlgorithm).
 	Algorithm Algorithm `json:"-"`
 	// Universe, when positive, sorts with the Section 7 RadixSort over
-	// [0, Universe) instead of a comparison algorithm.
+	// [0, Universe) instead of a comparison algorithm.  On the wire,
+	// "alg":"radix" selects it with a universe of 2^32 unless one is set.
 	Universe int64 `json:"universe,omitempty"`
 	// Memory and Disks give the job its machine geometry (0 = scheduler
 	// defaults).
@@ -218,8 +221,6 @@ type JobSpec struct {
 	// Workers is the job's fan-out width (0 = the scheduler's Workers);
 	// execution is arbitrated by the shared limiter either way.
 	Workers int `json:"workers,omitempty"`
-	// Pipeline overrides the scheduler's default streaming depth.
-	Pipeline *PipelineConfig `json:"pipeline,omitempty"`
 	// Backend overrides the scheduler's disk backend for this job ("file"
 	// or "mmap"); only valid on a file-backed scheduler.
 	Backend string `json:"backend,omitempty"`
@@ -227,7 +228,8 @@ type JobSpec struct {
 	// ("auto", "comparison", or "radix").  Wall-clock only: the sorted
 	// output and every statistic are bit-identical across kernels.
 	Kernel string `json:"kernel,omitempty"`
-	// BlockLatency models per-block device latency on the job's disks.
+	// BlockLatency models per-block device latency on the job's disks; on
+	// the wire it is "blockLatencyUs", in whole microseconds.
 	BlockLatency time.Duration `json:"-"`
 	// KeepKeys retains the sorted output for SortedKeys until the
 	// scheduler is closed.
@@ -256,6 +258,65 @@ type JobSpec struct {
 	// IngestBatch is the new batch folded into the sorted Keys dataset
 	// (Scenario "ingest").  Keys must already be ascending.
 	IngestBatch []int64 `json:"ingestBatch,omitempty"`
+}
+
+// jobSpecFields is JobSpec without its methods: the fields that encode
+// under their own tags.
+type jobSpecFields JobSpec
+
+// jobSpecJSON is JobSpec's wire form — the POST /jobs body and the
+// journal's submission record: the tagged fields plus the two that need
+// a spelling of their own.
+type jobSpecJSON struct {
+	*jobSpecFields
+	Alg            string `json:"alg,omitempty"`
+	BlockLatencyUs int64  `json:"blockLatencyUs,omitempty"`
+}
+
+// MarshalJSON encodes the spec in the form UnmarshalJSON reads.
+func (spec JobSpec) MarshalJSON() ([]byte, error) {
+	w := jobSpecJSON{jobSpecFields: (*jobSpecFields)(&spec), BlockLatencyUs: spec.BlockLatency.Microseconds()}
+	switch {
+	case spec.Universe > 0:
+		w.Alg = string(plan.Radix)
+	case spec.Algorithm != Auto:
+		if w.Alg = string(spec.Algorithm.planAlg()); w.Alg == "" {
+			return nil, fmt.Errorf("repro: unknown algorithm %v", spec.Algorithm)
+		}
+	}
+	return json.Marshal(w)
+}
+
+// UnmarshalJSON decodes a spec, rejecting unknown fields wherever it is
+// decoded: a decoder's DisallowUnknownFields does not reach a custom
+// unmarshaler, so the rule lives here.  A universe with a named
+// comparison algorithm is a contradiction; with no algorithm (or "auto")
+// it selects RadixSort, as the Universe field does.
+func (spec *JobSpec) UnmarshalJSON(data []byte) error {
+	var f jobSpecFields
+	w := jobSpecJSON{jobSpecFields: &f}
+	dec := json.NewDecoder(bytes.NewReader(data))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&w); err != nil {
+		return err
+	}
+	f.BlockLatency = time.Duration(w.BlockLatencyUs) * time.Microsecond
+	if w.Alg == string(plan.Radix) {
+		if f.Universe == 0 {
+			f.Universe = 1 << 32
+		}
+	} else {
+		alg, err := ParseAlgorithm(w.Alg)
+		if err != nil {
+			return err
+		}
+		if alg != Auto && f.Universe != 0 {
+			return fmt.Errorf("repro: universe is only valid with alg=radix")
+		}
+		f.Algorithm = alg
+	}
+	*spec = JobSpec(f)
+	return nil
 }
 
 // JobState is a job's lifecycle position as the service reports it.
@@ -452,17 +513,8 @@ func NewScheduler(cfg SchedulerConfig) (*Scheduler, error) {
 	if cfg.JobMemory == 0 {
 		cfg.JobMemory = 4096
 	}
-	if b := memsort.Isqrt(cfg.JobMemory); b*b != cfg.JobMemory {
-		return nil, fmt.Errorf("repro: JobMemory = %d is not a perfect square", cfg.JobMemory)
-	}
-	if !validBackend(cfg.Backend) {
-		return nil, fmt.Errorf("repro: unknown backend %q (want %q or %q)", cfg.Backend, BackendFile, BackendMmap)
-	}
-	if cfg.Backend != "" && cfg.Dir == "" {
-		return nil, fmt.Errorf("repro: Backend = %q requires Dir (in-memory schedulers have no disk backend)", cfg.Backend)
-	}
-	if !validKernel(cfg.Kernel) {
-		return nil, fmt.Errorf("repro: unknown kernel %q (want %q, %q, or %q)", cfg.Kernel, KernelAuto, KernelComparison, KernelRadix)
+	if _, _, err := resolveConfig(cfg.machineConfig(JobSpec{})); err != nil {
+		return nil, fmt.Errorf("repro: job defaults: %w", err)
 	}
 	var jr *journal.Journal
 	if cfg.JournalDir != "" {
@@ -495,15 +547,31 @@ func NewScheduler(cfg SchedulerConfig) (*Scheduler, error) {
 	return s, nil
 }
 
-// journalSpec is the JobSpec wire form stored in the journal's submission
-// record: the spec's own JSON shape plus the fields JobSpec deliberately
-// keeps out of its API encoding.  The resolved algorithm (not the
-// submitted Auto) is stored, so a recovered job reruns exactly what the
-// first life planned.
-type journalSpec struct {
-	JobSpec
-	Alg            string `json:"alg,omitempty"`
-	BlockLatencyUS int64  `json:"blockLatencyUS,omitempty"`
+// machineConfig merges a job's machine overrides onto the scheduler's
+// per-job defaults, for resolveConfig to validate.  Dir marks the job
+// file-backed; runJob replaces it with the job's own scratch directory.
+func (cfg *SchedulerConfig) machineConfig(spec JobSpec) MachineConfig {
+	mc := MachineConfig{
+		Memory:       spec.Memory,
+		Disks:        spec.Disks,
+		Alpha:        cfg.Alpha,
+		Dir:          cfg.Dir,
+		Backend:      spec.Backend,
+		Kernel:       spec.Kernel,
+		Workers:      spec.Workers,
+		Pipeline:     cfg.Pipeline,
+		BlockLatency: spec.BlockLatency,
+	}
+	if mc.Memory == 0 {
+		mc.Memory = cfg.JobMemory
+	}
+	if mc.Backend == "" {
+		mc.Backend = cfg.Backend
+	}
+	if mc.Kernel == "" {
+		mc.Kernel = cfg.Kernel
+	}
+	return mc
 }
 
 // resubmitRecovered replays the engine's recovered set in original FIFO
@@ -514,19 +582,11 @@ type journalSpec struct {
 func (s *Scheduler) resubmitRecovered() {
 	for _, rec := range s.eng.Recovered() {
 		rec := rec
-		var js journalSpec
-		if err := json.Unmarshal(rec.Spec, &js); err != nil {
+		var spec JobSpec
+		if err := json.Unmarshal(rec.Spec, &spec); err != nil {
 			s.eng.DropRecovered(rec.ID, fmt.Errorf("repro: recovered spec: %w", err))
 			continue
 		}
-		spec := js.JobSpec
-		alg, err := ParseAlgorithm(js.Alg)
-		if err != nil {
-			s.eng.DropRecovered(rec.ID, err)
-			continue
-		}
-		spec.Algorithm = alg
-		spec.BlockLatency = time.Duration(js.BlockLatencyUS) * time.Microsecond
 		r, err := s.resolveJobSpec(spec)
 		if err != nil {
 			s.eng.DropRecovered(rec.ID, err)
@@ -638,39 +698,7 @@ func (s *Scheduler) resolveJobSpec(spec JobSpec) (*jobResolution, error) {
 	if r.payloadWords >= 0 && spec.Universe > 0 {
 		return nil, fmt.Errorf("repro: record payloads need a comparison sort, not RadixSort (universe)")
 	}
-	backend := spec.Backend
-	if backend == "" {
-		backend = s.cfg.Backend
-	}
-	if !validBackend(backend) {
-		return nil, fmt.Errorf("repro: unknown backend %q (want %q or %q)", backend, BackendFile, BackendMmap)
-	}
-	if backend != "" && s.cfg.Dir == "" {
-		return nil, fmt.Errorf("repro: backend %q requires a file-backed scheduler (no Dir configured)", backend)
-	}
-	kernel := spec.Kernel
-	if kernel == "" {
-		kernel = s.cfg.Kernel
-	}
-	if !validKernel(kernel) {
-		return nil, fmt.Errorf("repro: unknown kernel %q (want %q, %q, or %q)", kernel, KernelAuto, KernelComparison, KernelRadix)
-	}
-	r.mc = MachineConfig{
-		Memory:       spec.Memory,
-		Disks:        spec.Disks,
-		Alpha:        s.cfg.Alpha,
-		Workers:      spec.Workers,
-		Backend:      backend,
-		Kernel:       kernel,
-		Pipeline:     s.cfg.Pipeline,
-		BlockLatency: spec.BlockLatency,
-	}
-	if r.mc.Memory == 0 {
-		r.mc.Memory = s.cfg.JobMemory
-	}
-	if spec.Pipeline != nil {
-		r.mc.Pipeline = *spec.Pipeline
-	}
+	r.mc = s.cfg.machineConfig(spec)
 	var err error
 	r.pcfg, r.alpha, err = resolveConfig(r.mc)
 	if err != nil {
@@ -788,11 +816,13 @@ func (s *Scheduler) Submit(spec JobSpec) (int, error) {
 	j := r.job(spec)
 	var specBytes []byte
 	if s.jr != nil {
-		specBytes, err = json.Marshal(journalSpec{
-			JobSpec:        spec,
-			Alg:            string(r.alg.planAlg()),
-			BlockLatencyUS: spec.BlockLatency.Microseconds(),
-		})
+		// The resolved algorithm (not the submitted Auto) is journaled, so a
+		// recovered job reruns exactly what this life planned.
+		// MarshalJSON is called directly: json.Marshal would rescan its
+		// whole output, keys included.
+		rec := spec
+		rec.Algorithm = r.alg
+		specBytes, err = rec.MarshalJSON()
 		if err != nil {
 			return 0, fmt.Errorf("repro: journal spec: %w", err)
 		}
@@ -1328,7 +1358,6 @@ func (s *Scheduler) Health() SchedHealth {
 	h := SchedHealth{
 		Status:     "ok",
 		JobMemory:  s.cfg.JobMemory,
-		Alpha:      s.cfg.Alpha,
 		Workers:    st.Workers,
 		Backend:    s.cfg.Backend,
 		FileBacked: s.cfg.Dir != "",
@@ -1338,13 +1367,9 @@ func (s *Scheduler) Health() SchedHealth {
 		Recovered:  st.Recovered,
 		Suspended:  st.Suspended,
 	}
-	if h.Alpha == 0 {
-		h.Alpha = 1
-	}
 	// Resolve the default geometry exactly as a default job would.
-	if pcfg, _, err := resolveConfig(MachineConfig{Memory: s.cfg.JobMemory, Alpha: s.cfg.Alpha}); err == nil {
-		h.BlockSize = pcfg.B
-		h.Disks = pcfg.D
+	if pcfg, alpha, err := resolveConfig(s.cfg.machineConfig(JobSpec{})); err == nil {
+		h.BlockSize, h.Disks, h.Alpha = pcfg.B, pcfg.D, alpha
 	}
 	return h
 }
