@@ -1,6 +1,6 @@
-// Benchmarks regenerating every experiment of EXPERIMENTS.md (E01–E16, one
-// per theorem/lemma/observation of the paper, plus the A1–A5 design
-// ablations) and micro-benchmarks of the kernels.  Run:
+// Benchmarks regenerating every experiment table `go run ./cmd/experiments`
+// prints (E01–E16, one per theorem/lemma/observation of the paper, plus the
+// A1–A5 design ablations) and micro-benchmarks of the kernels.  Run:
 //
 //	go test -bench=. -benchmem
 //

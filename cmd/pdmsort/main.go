@@ -102,6 +102,15 @@ func (o *options) scenarioKind() string {
 	return ""
 }
 
+// machineConfig is the machine the flags describe, its disks in dir.
+func (o *options) machineConfig(dir string) repro.MachineConfig {
+	return repro.MachineConfig{
+		Memory: o.mem, Disks: o.disks, Dir: dir, Backend: o.backend,
+		Kernel: o.kernel, Pipeline: o.pipe, Workers: o.workers,
+		BlockLatency: o.latency,
+	}
+}
+
 func main() {
 	var o options
 	flag.StringVar(&o.in, "in", "", "input file of little-endian int64 keys")
@@ -111,7 +120,7 @@ func main() {
 	flag.StringVar(&o.out, "out", "", "output file (defaults to <input>.sorted)")
 	flag.IntVar(&o.mem, "mem", 65536, "internal memory M in keys (perfect square)")
 	flag.IntVar(&o.disks, "disks", 0, "number of disks D (0 = sqrt(M)/4)")
-	flag.StringVar(&o.alg, "alg", "auto", "algorithm: auto|mesh3|mesh2e|lmm3|exp2|exp3|seven|six|sevenmesh|radix")
+	flag.StringVar(&o.alg, "alg", "auto", "algorithm: auto|one|mesh3|mesh2e|lmm3|exp2|exp3|seven|six|sevenmesh|radix")
 	flag.Int64Var(&o.universe, "universe", 1<<32, "key universe for -alg radix")
 	flag.StringVar(&o.scratch, "scratch", "", "directory for the disk files (default: temp dir)")
 	flag.StringVar(&o.backend, "backend", "", "disk backend: file (read/write syscalls, default) or mmap (zero-copy memory-mapped)")
@@ -173,20 +182,12 @@ func validate(o options) error {
 		return usageError{errors.New("-sep must not be empty")}
 	case o.universe <= 0 && (o.alg == "radix" || o.gen > 0):
 		return usageError{fmt.Errorf("-universe %d: want > 0", o.universe)}
-	case o.mem <= 0:
-		return usageError{fmt.Errorf("-mem %d: want > 0", o.mem)}
-	case o.disks < 0:
-		return usageError{fmt.Errorf("-disks %d: want >= 0", o.disks)}
-	case o.pipe.Prefetch < 0 || o.pipe.WriteBehind < 0:
-		return usageError{fmt.Errorf("-prefetch %d / -writebehind %d: want >= 0", o.pipe.Prefetch, o.pipe.WriteBehind)}
-	case o.workers < 0:
-		return usageError{fmt.Errorf("-workers %d: want >= 0", o.workers)}
-	case o.latency < 0:
-		return usageError{fmt.Errorf("-latency %v: want >= 0", o.latency)}
-	case o.backend != "" && o.backend != repro.BackendFile && o.backend != repro.BackendMmap:
-		return usageError{fmt.Errorf("-backend %q: want %q or %q", o.backend, repro.BackendFile, repro.BackendMmap)}
-	case o.kernel != "" && o.kernel != repro.KernelAuto && o.kernel != repro.KernelComparison && o.kernel != repro.KernelRadix:
-		return usageError{fmt.Errorf("-kernel %q: want %q, %q, or %q", o.kernel, repro.KernelAuto, repro.KernelComparison, repro.KernelRadix)}
+	}
+	// pdmsort's machines are always file-backed (a temp dir stands in
+	// for -scratch), so the placeholder directory checks the same rules
+	// the real one will meet.
+	if err := o.machineConfig("scratch").Validate(); err != nil {
+		return usageError{err}
 	}
 	scenarios := 0
 	for _, on := range []bool{o.topk > 0, o.quantile > 0, o.ingest != ""} {
@@ -257,11 +258,7 @@ func run(o options) error {
 		defer os.RemoveAll(dir)
 		scratch = dir
 	}
-	m, err := repro.NewMachine(repro.MachineConfig{
-		Memory: o.mem, Disks: o.disks, Dir: scratch, Backend: o.backend,
-		Kernel: o.kernel, Pipeline: o.pipe, Workers: o.workers,
-		BlockLatency: o.latency,
-	})
+	m, err := repro.NewMachine(o.machineConfig(scratch))
 	if err != nil {
 		return err
 	}

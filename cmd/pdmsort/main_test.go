@@ -153,6 +153,8 @@ func TestValidateRejectsBadFlags(t *testing.T) {
 		{"zero universe gen", with(func(o *options) { o.universe = 0; o.gen = 10 })},
 		{"zero mem", with(func(o *options) { o.in = "x.bin"; o.mem = 0 })},
 		{"negative disks", with(func(o *options) { o.in = "x.bin"; o.disks = -1 })},
+		{"mem not a perfect square", with(func(o *options) { o.universe = 100; o.gen = 100; o.mem = 1000 })},
+		{"disks not dividing sqrt(mem)", with(func(o *options) { o.universe = 100; o.gen = 100; o.mem = 1024; o.disks = 3 })},
 		{"negative prefetch", with(func(o *options) { o.in = "x.bin"; o.pipe = repro.PipelineConfig{Prefetch: -1} })},
 		{"negative workers", with(func(o *options) { o.in = "x.bin"; o.workers = -2 })},
 		{"unknown backend", with(func(o *options) { o.in = "x.bin"; o.backend = "ram" })},

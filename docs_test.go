@@ -52,27 +52,38 @@ func TestDocsFileReferencesResolve(t *testing.T) {
 }
 
 // TestDocsFlagReferencesResolve: every -flag a README/ARCHITECTURE
-// command line passes to pdmsort or pdmd must be declared by that
-// binary, so the docs never teach flags the CLIs dropped.
+// command line passes to pdmsort, pdmd, or a pdmctl subcommand must be
+// declared by that binary, so the docs never teach flags the CLIs
+// dropped.  pdmctl's subcommands each parse their own FlagSet; a flag
+// counts as declared when any of them declares it.  Shell continuation
+// lines ("\" at the end) are joined, so multi-line commands are checked
+// whole.
 func TestDocsFlagReferencesResolve(t *testing.T) {
 	declared := func(mainPath string) map[string]bool {
 		raw, err := os.ReadFile(mainPath)
 		if err != nil {
 			t.Fatal(err)
 		}
-		decl := regexp.MustCompile(`flag\.\w+\(\s*&?[^,]*,?\s*"([a-z]+)"`)
+		decl := regexp.MustCompile(`\b(?:flag|fs)\.(\w+)\(\s*(?:&[^,]*,\s*)?"([a-z]+)"`)
 		flags := map[string]bool{}
 		for _, m := range decl.FindAllStringSubmatch(string(raw), -1) {
-			flags[m[1]] = true
+			if m[1] != "NewFlagSet" {
+				flags[m[2]] = true
+			}
 		}
 		if len(flags) == 0 {
 			t.Fatalf("%s declares no flags; the extraction regexp rotted", mainPath)
 		}
 		return flags
 	}
-	bins := map[string]map[string]bool{
-		"pdmsort": declared("cmd/pdmsort/main.go"),
-		"pdmd":    declared("cmd/pdmd/main.go"),
+	bins := []struct {
+		invoked *regexp.Regexp // a command line running the binary
+		name    string
+		flags   map[string]bool
+	}{
+		{regexp.MustCompile(`\bpdmsort\s+-`), "pdmsort", declared("cmd/pdmsort/main.go")},
+		{regexp.MustCompile(`\bpdmd\s+-`), "pdmd", declared("cmd/pdmd/main.go")},
+		{regexp.MustCompile(`\bpdmctl\s+[a-z]+\s+-`), "pdmctl", declared("cmd/pdmctl/main.go")},
 	}
 	used := regexp.MustCompile(` -([a-z]+)`)
 	for _, doc := range docsFiles {
@@ -80,14 +91,20 @@ func TestDocsFlagReferencesResolve(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for ln, line := range strings.Split(string(raw), "\n") {
-			for bin, flags := range bins {
-				if !strings.Contains(line, bin+" -") {
+		lines := strings.Split(string(raw), "\n")
+		for ln := 0; ln < len(lines); ln++ {
+			start, line := ln, lines[ln]
+			for strings.HasSuffix(line, "\\") && ln+1 < len(lines) {
+				ln++
+				line = strings.TrimSuffix(line, "\\") + " " + lines[ln]
+			}
+			for _, bin := range bins {
+				if !bin.invoked.MatchString(line) {
 					continue
 				}
 				for _, m := range used.FindAllStringSubmatch(line, -1) {
-					if !flags[m[1]] {
-						t.Errorf("%s:%d passes -%s to %s, which declares no such flag", doc, ln+1, m[1], bin)
+					if !bin.flags[m[1]] {
+						t.Errorf("%s:%d passes -%s to %s, which declares no such flag", doc, start+1, m[1], bin.name)
 					}
 				}
 			}

@@ -135,28 +135,50 @@ func (r *PlanReport) Candidate(name string) *PlanCandidate {
 	return nil
 }
 
-// planContext assembles the planner's machine shape and its (cached)
-// micro-calibration — a one-shot probe on a throwaway array of the same
-// geometry and backend kind, shared process-wide per shape.  It is the
-// single assembly point for both: Machine.Explain, Scheduler.Explain,
-// and the per-job prediction all build here, so the shape fields and the
-// calibration cache key can never drift apart.
-func planContext(mem, d, b, workers int, alpha float64, latency time.Duration,
-	backend plan.Backend, kernel plan.Kernel, pipe PipelineConfig) (plan.Shape, plan.Calibration) {
+// explainOn is the one Explain body, shared by Machine.Explain and
+// Scheduler.Explain: it prices spec on a machine of configuration mc with
+// d disks and a pool of workers — the planner's shape plus its (cached)
+// micro-calibration, a one-shot probe on a throwaway array of the same
+// geometry and backend kind — ranks the backends and kernels, and pins
+// Chosen to alg, the algorithm a sort of spec runs (Auto pins the Auto
+// path's deterministic pick, whatever the calibrated ranking says).
+// Universe specs keep the planner's radix choice.  Building the shape and
+// the calibration key in one place is what keeps the machine's and the
+// scheduler's answers from drifting apart.
+func explainOn(mc MachineConfig, d, workers int, alpha float64, spec SortSpec, alg Algorithm) (*PlanReport, error) {
+	mem := mc.Memory
+	backend := backendKind(mc.Dir != "", mc.Backend)
+	kernel := kernelKind(mc.Kernel, mem)
 	shape := planShape(mem, d, alpha)
+	b := shape.B
 	shape.Workers = workers
-	shape.BlockLatency = latency
+	shape.BlockLatency = mc.BlockLatency
 	shape.Backend = backend
 	shape.Kernel = kernel
-	shape.Prefetch = pipe.Prefetch
-	shape.WriteBehind = pipe.WriteBehind
+	shape.Prefetch = mc.Pipeline.Prefetch
+	shape.WriteBehind = mc.Pipeline.WriteBehind
 	cal := plan.Calibrate(plan.ProbeConfig{
 		D: d, B: b, Workers: workers,
-		BlockLatency: latency,
+		BlockLatency: mc.BlockLatency,
 		Backend:      backend,
 		Kernel:       kernel,
 	})
-	return shape, cal
+	r, err := plan.Explain(shape, spec.planWorkload(), cal)
+	if err != nil {
+		return nil, err
+	}
+	out := convertPlan(spec, r)
+	out.Backends = rankBackends(d, b, workers, mc.BlockLatency, backend, kernel)
+	out.Kernels = rankKernels(d, b, workers, mc.BlockLatency, backend, kernel)
+	if spec.Universe == 0 {
+		if alg == Auto {
+			alg = planFor(mem, d, alpha, spec.N)
+		}
+		out.Chosen = string(alg.planAlg())
+		out.ChosenAlgorithm = alg
+		out.ChosenRadix = false
+	}
+	return out, nil
 }
 
 // rankBackends builds the backend ranking for a machine of the given
@@ -233,31 +255,7 @@ func (m *Machine) Explain(spec SortSpec) (*PlanReport, error) {
 	if spec.N <= 0 {
 		return nil, fmt.Errorf("repro: SortSpec.N = %d, want > 0", spec.N)
 	}
-	backend := backendKind(m.cfg.Dir != "", m.cfg.Backend)
-	kernel := kernelKind(m.cfg.Kernel, m.a.Mem())
-	shape, cal := planContext(m.a.Mem(), m.a.D(), m.a.B(), m.a.Workers(), m.alpha,
-		m.cfg.BlockLatency, backend, kernel, m.cfg.Pipeline)
-	r, err := plan.Explain(shape, spec.planWorkload(), cal)
-	if err != nil {
-		return nil, err
-	}
-	out := convertPlan(spec, r)
-	out.Backends = rankBackends(m.a.D(), m.a.B(), m.a.Workers(), m.cfg.BlockLatency, backend, kernel)
-	out.Kernels = rankKernels(m.a.D(), m.a.B(), m.a.Workers(), m.cfg.BlockLatency, backend, kernel)
-	if spec.Universe == 0 {
-		// Pin the choice to the Auto path: what Sort(keys, Auto) on this
-		// machine will actually run, whatever the calibrated ranking says.
-		out.setChosen(m.Plan(spec.N))
-	}
-	return out, nil
-}
-
-// setChosen points the report's choice at alg (the Auto path's pick, or
-// a forced algorithm).
-func (r *PlanReport) setChosen(alg Algorithm) {
-	r.Chosen = string(alg.planAlg())
-	r.ChosenAlgorithm = alg
-	r.ChosenRadix = false
+	return explainOn(m.cfg, m.a.D(), m.a.Workers(), m.alpha, spec, Auto)
 }
 
 // convertPlan maps the internal report onto the facade types.

@@ -45,8 +45,9 @@ func SubblockGeometry(m int) (r, s, b int, err error) {
 //	        (the ≤ 2√s dirty rows span ≤ 2·s^1.5 = r/2 keys < the window).
 //
 // The original achieves four passes with B = Θ(M^(2/5)) via layout tricks
-// specific to their disk format; the extra pass here is documented in
-// DESIGN.md (the capacity and the asymptotic pass count are preserved).
+// specific to their disk format; the extra pass here is noted under its
+// experiment table (go run ./cmd/experiments); the capacity and the
+// asymptotic pass count are preserved.
 func SubblockColumnsort(a *pdm.Array, in *pdm.Stripe, r, s int) (*core.Result, error) {
 	b := a.B()
 	sq := memsort.Isqrt(s)

@@ -10,10 +10,10 @@ import (
 	"repro/internal/workload"
 )
 
-// A1CleanupWindow ablates the rolling-cleanup window (DESIGN.md A1): the
-// window must cover the displacement bound; half windows fail exactly when
-// the dirtiness exceeds them, which is why ThreePass2's chunk is M and why
-// the memory envelope is 2M.
+// A1CleanupWindow ablates the rolling-cleanup window: the window must
+// cover the displacement bound; half windows fail exactly when the
+// dirtiness exceeds them, which is why ThreePass2's chunk is M and why the
+// memory envelope is 2M.
 func A1CleanupWindow(trials int) (*report.Table, error) {
 	t := report.NewTable("A1  Ablation: rolling-cleanup window vs displacement",
 		"displacement d", "window", "trials", "successes", "detected overflows")
@@ -37,9 +37,9 @@ func A1CleanupWindow(trials int) (*report.Table, error) {
 	return t, nil
 }
 
-// A2SnakeDirection ablates ThreePass1's alternating submesh row direction
-// (DESIGN.md A2): without alternation the Shearsort pairing argument is
-// lost and the post-column-sort dirty band can exceed √M/2 rows.
+// A2SnakeDirection ablates ThreePass1's alternating submesh row direction:
+// without alternation the Shearsort pairing argument is lost and the
+// post-column-sort dirty band can exceed √M/2 rows.
 func A2SnakeDirection(trials int) (*report.Table, error) {
 	t := report.NewTable("A2  Ablation: ThreePass1 submesh row alternation (0-1 inputs)",
 		"variant", "trials", "max dirty rows", "bound sqrt(M)/2", "within")
@@ -72,8 +72,8 @@ func A2SnakeDirection(trials int) (*report.Table, error) {
 	return t, nil
 }
 
-// A4MergeKernel ablates the k-way merge kernel (DESIGN.md A4): loser tree
-// vs repeated binary merging, CPU time for the same output.
+// A4MergeKernel ablates the k-way merge kernel: loser tree vs repeated
+// binary merging, CPU time for the same output.
 func A4MergeKernel() (*report.Table, error) {
 	t := report.NewTable("A4  Ablation: k-way merge kernel (CPU only; I/O identical)",
 		"k", "keys", "loser tree", "binary rounds", "speedup")
@@ -99,9 +99,9 @@ func A4MergeKernel() (*report.Table, error) {
 	return t, nil
 }
 
-// A3IntegerStriping ablates IntegerSort's block placement (DESIGN.md A3):
-// per-bucket round-robin rotation (the LMM striping) vs every bucket
-// starting at disk 0, comparing per-phase write steps analytically.
+// A3IntegerStriping ablates IntegerSort's block placement: per-bucket
+// round-robin rotation (the LMM striping) vs every bucket starting at disk
+// 0, comparing per-phase write steps analytically.
 func A3IntegerStriping() (*report.Table, error) {
 	t := report.NewTable("A3  Ablation: IntegerSort bucket-write striping (analytic, one phase)",
 		"buckets R", "disks D", "blocks", "rotated steps", "naive steps", "inflation")
@@ -133,9 +133,9 @@ func A3IntegerStriping() (*report.Table, error) {
 	return t, nil
 }
 
-// A5Detection quantifies the failure-detection choice (DESIGN.md A5): the
-// paper's largest-key tracking is free, while a separate verification pass
-// would cost a full extra pass even on success.
+// A5Detection quantifies the failure-detection choice: the paper's
+// largest-key tracking is free, while a separate verification pass would
+// cost a full extra pass even on success.
 func A5Detection() (*report.Table, error) {
 	t := report.NewTable("A5  Ablation: failure detection strategy (ExpectedTwoPass)",
 		"strategy", "extra passes on success", "extra passes on failure", "failures missed")

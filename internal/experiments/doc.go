@@ -1,6 +1,6 @@
 // Package experiments regenerates every empirical claim of the paper —
 // one experiment per theorem/lemma/observation with quantitative content,
-// as indexed in DESIGN.md §4 and recorded in EXPERIMENTS.md.  The paper has
+// printed by go run ./cmd/experiments.  The paper has
 // no numbered tables or figures (it is a theory paper), so these tables ARE
 // its evaluation: pass counts, capacities and failure probabilities,
 // measured on the PDM simulator.

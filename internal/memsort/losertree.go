@@ -188,7 +188,8 @@ func MultiMerge(dst []int64, lanes [][]int64) {
 
 // MultiMergeBinary merges k sorted lanes by repeated pairwise binary merging
 // (⌈log₂ k⌉ rounds over the data).  It exists as the baseline for the
-// loser-tree ablation (A4 in DESIGN.md): identical output, more key moves.
+// loser-tree ablation (A4 of go run ./cmd/experiments): identical output,
+// more key moves.
 func MultiMergeBinary(dst []int64, lanes [][]int64) {
 	total := 0
 	for _, l := range lanes {

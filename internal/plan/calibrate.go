@@ -130,7 +130,7 @@ func probe(pc ProbeConfig) (cal Calibration, err error) {
 	}
 	t0 := time.Now()
 	stripe := pc.D * pc.B
-	cfg := pdm.Config{D: pc.D, B: pc.B, Mem: stripe, Workers: pc.Workers, Kernel: parKernel(pc.Kernel)}
+	cfg := pdm.Config{D: pc.D, B: pc.B, Mem: stripe, Workers: pc.Workers, Kernel: ParKernel(pc.Kernel)}
 	var disks []pdm.Disk
 	var dir string
 	if pc.Backend == BackendFile || pc.Backend == BackendMmap {

@@ -72,9 +72,9 @@ const (
 // Kernels is the canonical kernel order Explain's ranked table evaluates.
 var Kernels = []Kernel{KernelComparison, KernelRadix}
 
-// parKernel maps the planner's kernel name to the pool enum ("" prices the
+// ParKernel maps the planner's kernel name to the pool enum ("" prices the
 // comparison kernel, the conservative default).
-func parKernel(k Kernel) par.Kernel {
+func ParKernel(k Kernel) par.Kernel {
 	if k == KernelRadix {
 		return par.KernelRadix
 	}

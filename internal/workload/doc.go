@@ -6,7 +6,7 @@
 // algorithms into their fallback paths.
 //
 // Every generator is a pure function of its parameters and seed, so every
-// experiment in EXPERIMENTS.md is exactly reproducible.  Generators
+// table go run ./cmd/experiments prints is exactly reproducible.  Generators
 // allocate plain slices only — no pdm I/O, no arena memory — so workload
 // construction never perturbs a machine's accounting; the planner
 // (internal/plan) maps generator kinds onto its presortedness hint.

@@ -1,6 +1,7 @@
 package repro
 
 import (
+	"reflect"
 	"testing"
 	"time"
 
@@ -198,6 +199,45 @@ func TestExplainChosenMatchesAutoRun(t *testing.T) {
 		}
 		if c := rep.Candidate(rep.Chosen); c == nil || !c.Feasible {
 			t.Errorf("N=%d: chosen %q not a feasible candidate in the table", n, rep.Chosen)
+		}
+	}
+}
+
+// TestSchedulerExplainMatchesMachine: Scheduler.Explain and Machine.Explain
+// share one body, so a job and a machine of the same geometry must get the
+// same candidate table and the same Chosen for the same workload.
+func TestSchedulerExplainMatchesMachine(t *testing.T) {
+	const mem = 1024
+	pipe := PipelineConfig{Prefetch: 2, WriteBehind: 2}
+	s, err := NewScheduler(SchedulerConfig{Memory: 8 * mem, JobMemory: mem, Workers: 2, Pipeline: pipe})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	m, err := NewMachine(MachineConfig{Memory: mem, Workers: 2, Pipeline: pipe})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Close()
+	for _, tc := range []struct {
+		n        int
+		universe int64
+	}{{mem / 2, 0}, {5 * mem, 0}, {40 * mem, 0}, {5 * mem, 1 << 20}} {
+		mr, err := m.Explain(SortSpec{N: tc.n, Universe: tc.universe})
+		if err != nil {
+			t.Fatal(err)
+		}
+		sr, err := s.Explain(JobSpec{Keys: make([]int64, tc.n), Universe: tc.universe, Workers: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if sr.Chosen != mr.Chosen || sr.ChosenAlgorithm != mr.ChosenAlgorithm || sr.ChosenRadix != mr.ChosenRadix {
+			t.Errorf("N=%d universe=%d: scheduler chose %q (%v), machine %q (%v)",
+				tc.n, tc.universe, sr.Chosen, sr.ChosenAlgorithm, mr.Chosen, mr.ChosenAlgorithm)
+		}
+		if !reflect.DeepEqual(sr.Candidates, mr.Candidates) {
+			t.Errorf("N=%d universe=%d: candidate tables differ:\nscheduler %+v\nmachine   %+v",
+				tc.n, tc.universe, sr.Candidates, mr.Candidates)
 		}
 	}
 }

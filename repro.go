@@ -13,14 +13,15 @@
 //
 // The underlying pieces (the pdm simulator, the individual algorithms, the
 // baselines, the zero-one principle machinery) live in internal/ packages
-// and are exercised by the experiment harness (cmd/experiments) that
-// regenerates every empirical claim in EXPERIMENTS.md.
+// and are exercised by the experiment harness that regenerates every
+// empirical claim of the paper: go run ./cmd/experiments.
 package repro
 
 import (
 	"errors"
 	"fmt"
 	"math"
+	"strings"
 	"time"
 
 	"repro/internal/core"
@@ -67,38 +68,44 @@ const (
 	MemOnePass
 )
 
+// algorithms is the one table of the paper's algorithms, indexed by
+// Algorithm: the paper name String returns, the planner's candidate name
+// (also the CLI and wire spelling ParseAlgorithm accepts), and the
+// internal/core entry point Sort runs.  Auto has neither of the last two:
+// Sort resolves it through the planner first.  The enum values are part
+// of the wire format (Report.Algorithm encodes as the integer), so rows
+// are only ever appended.
+var algorithms = [...]struct {
+	name string
+	plan plan.Alg
+	run  func(*pdm.Array, *pdm.Stripe) (*core.Result, error)
+}{
+	Auto:                {"Auto", "", nil},
+	ThreePassMesh:       {"ThreePass1", plan.Mesh3, core.ThreePass1},
+	TwoPassMeshExpected: {"ExpThreePass1 (2-pass mesh)", plan.Mesh2e, core.ExpTwoPassMesh},
+	ThreePassLMM:        {"ThreePass2", plan.LMM3, core.ThreePass2},
+	TwoPassExpected:     {"ExpectedTwoPass", plan.Exp2, core.ExpectedTwoPass},
+	ThreePassExpected:   {"ExpectedThreePass", plan.Exp3, core.ExpectedThreePass},
+	SevenPass:           {"SevenPass", plan.Seven, core.SevenPass},
+	SixPassExpected:     {"ExpectedSixPass", plan.Six, core.ExpectedSixPass},
+	SevenPassMesh:       {"SevenPassMesh (Remark 6.2)", plan.SevenMesh, core.SevenPassMesh},
+	MemOnePass:          {"OnePass (memory load)", plan.OnePass, core.OnePass},
+}
+
+// known reports whether alg is a row of the algorithm table.
+func (alg Algorithm) known() bool { return alg >= 0 && int(alg) < len(algorithms) }
+
 // String names the algorithm as in the paper.
 func (alg Algorithm) String() string {
-	switch alg {
-	case Auto:
-		return "Auto"
-	case ThreePassMesh:
-		return "ThreePass1"
-	case TwoPassMeshExpected:
-		return "ExpThreePass1 (2-pass mesh)"
-	case ThreePassLMM:
-		return "ThreePass2"
-	case TwoPassExpected:
-		return "ExpectedTwoPass"
-	case ThreePassExpected:
-		return "ExpectedThreePass"
-	case SevenPass:
-		return "SevenPass"
-	case SixPassExpected:
-		return "ExpectedSixPass"
-	case SevenPassMesh:
-		return "SevenPassMesh (Remark 6.2)"
-	case MemOnePass:
-		return "OnePass (memory load)"
-	default:
+	if !alg.known() {
 		return fmt.Sprintf("Algorithm(%d)", int(alg))
 	}
+	return algorithms[alg].name
 }
 
 // ParseAlgorithm maps the CLI/service short names to Algorithm values:
 // "auto" (or "") is Auto, and every other name is the planner's candidate
-// name for that algorithm (one, mesh3, mesh2e, lmm3, exp2, exp3, seven,
-// six, sevenmesh).
+// name in that algorithm's table row.
 func ParseAlgorithm(name string) (Algorithm, error) {
 	if name == "auto" || name == "" {
 		return Auto, nil
@@ -106,61 +113,32 @@ func ParseAlgorithm(name string) (Algorithm, error) {
 	if alg, ok := algFromPlan(plan.Alg(name)); ok {
 		return alg, nil
 	}
-	return 0, fmt.Errorf("repro: unknown algorithm %q (want auto|one|mesh3|mesh2e|lmm3|exp2|exp3|seven|six|sevenmesh)", name)
+	want := []string{"auto"}
+	for _, row := range algorithms[Auto+1:] {
+		want = append(want, string(row.plan))
+	}
+	return 0, fmt.Errorf("repro: unknown algorithm %q (want %s)", name, strings.Join(want, "|"))
 }
 
 // planAlg maps the facade enum onto the planner's candidate names (the
-// same short spellings ParseAlgorithm accepts).
+// same short spellings ParseAlgorithm accepts); "" for Auto and unknown
+// values.
 func (alg Algorithm) planAlg() plan.Alg {
-	switch alg {
-	case ThreePassMesh:
-		return plan.Mesh3
-	case TwoPassMeshExpected:
-		return plan.Mesh2e
-	case ThreePassLMM:
-		return plan.LMM3
-	case TwoPassExpected:
-		return plan.Exp2
-	case ThreePassExpected:
-		return plan.Exp3
-	case SevenPass:
-		return plan.Seven
-	case SixPassExpected:
-		return plan.Six
-	case SevenPassMesh:
-		return plan.SevenMesh
-	case MemOnePass:
-		return plan.OnePass
-	default:
+	if !alg.known() {
 		return ""
 	}
+	return algorithms[alg].plan
 }
 
 // algFromPlan is planAlg's inverse; ok is false for plan.Radix, which is
 // not an Algorithm (SortInts is its entry point).
 func algFromPlan(a plan.Alg) (Algorithm, bool) {
-	switch a {
-	case plan.Mesh3:
-		return ThreePassMesh, true
-	case plan.Mesh2e:
-		return TwoPassMeshExpected, true
-	case plan.LMM3:
-		return ThreePassLMM, true
-	case plan.Exp2:
-		return TwoPassExpected, true
-	case plan.Exp3:
-		return ThreePassExpected, true
-	case plan.Seven:
-		return SevenPass, true
-	case plan.Six:
-		return SixPassExpected, true
-	case plan.SevenMesh:
-		return SevenPassMesh, true
-	case plan.OnePass:
-		return MemOnePass, true
-	default:
-		return 0, false
+	for alg, row := range algorithms {
+		if row.plan != "" && row.plan == a {
+			return Algorithm(alg), true
+		}
 	}
+	return 0, false
 }
 
 // MachineConfig describes the simulated PDM.
@@ -289,14 +267,6 @@ func kernelKind(kernel string, mem int) plan.Kernel {
 	}
 }
 
-// parKernelOf maps the planner's kernel onto the worker pool's enum.
-func parKernelOf(k plan.Kernel) par.Kernel {
-	if k == plan.KernelRadix {
-		return par.KernelRadix
-	}
-	return par.KernelComparison
-}
-
 // Machine is a PDM plus the paper's algorithm suite.
 type Machine struct {
 	a     *pdm.Array
@@ -395,7 +365,15 @@ func resolveConfig(cfg MachineConfig) (pdm.Config, float64, error) {
 			WriteBehind: cfg.Pipeline.WriteBehind,
 		},
 		Workers: cfg.Workers,
-		Kernel:  parKernelOf(kernelKind(cfg.Kernel, cfg.Memory))}, alpha, nil
+		Kernel:  plan.ParKernel(kernelKind(cfg.Kernel, cfg.Memory))}, alpha, nil
+}
+
+// Validate reports the first unusable knob of cfg: the check NewMachine
+// makes before it creates anything, for callers that want to reject a
+// configuration before doing other work.
+func (cfg MachineConfig) Validate() error {
+	_, _, err := resolveConfig(cfg)
+	return err
 }
 
 // Array exposes the underlying PDM array for harnesses that need direct
@@ -566,29 +544,7 @@ func (m *Machine) Sort(keys []int64, alg Algorithm) (*Report, error) {
 	if err := in.Load(data); err != nil {
 		return nil, err
 	}
-	var res *core.Result
-	switch alg {
-	case ThreePassMesh:
-		res, err = core.ThreePass1(m.a, in)
-	case TwoPassMeshExpected:
-		res, err = core.ExpTwoPassMesh(m.a, in)
-	case ThreePassLMM:
-		res, err = core.ThreePass2(m.a, in)
-	case TwoPassExpected:
-		res, err = core.ExpectedTwoPass(m.a, in)
-	case ThreePassExpected:
-		res, err = core.ExpectedThreePass(m.a, in)
-	case SevenPass:
-		res, err = core.SevenPass(m.a, in)
-	case SixPassExpected:
-		res, err = core.ExpectedSixPass(m.a, in)
-	case SevenPassMesh:
-		res, err = core.SevenPassMesh(m.a, in)
-	case MemOnePass:
-		res, err = core.OnePass(m.a, in)
-	default:
-		return nil, fmt.Errorf("repro: unknown algorithm %v", alg)
-	}
+	res, err := algorithms[alg].run(m.a, in)
 	if err != nil {
 		return nil, err
 	}

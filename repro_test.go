@@ -1,11 +1,14 @@
 package repro
 
 import (
+	"fmt"
 	"math"
 	"slices"
+	"strings"
 	"testing"
 	"testing/quick"
 
+	"repro/internal/plan"
 	"repro/internal/workload"
 )
 
@@ -44,15 +47,22 @@ func TestNewMachineValidation(t *testing.T) {
 	}
 }
 
+// TestSortAllAlgorithms runs every row of the algorithm table, so a row
+// without an entry point fails here.
 func TestSortAllAlgorithms(t *testing.T) {
 	m := newTestMachine(t, 256)
-	for _, alg := range []Algorithm{
-		ThreePassMesh, TwoPassMeshExpected, ThreePassLMM,
-		TwoPassExpected, ThreePassExpected, SevenPass, SixPassExpected,
-		SevenPassMesh,
-	} {
+	for alg := Auto + 1; alg.known(); alg++ {
 		t.Run(alg.String(), func(t *testing.T) {
-			keys := workload.Perm(1000, int64(alg)) // deliberately unaligned length
+			if algorithms[alg].run == nil {
+				t.Fatal("no core entry point")
+			}
+			// Deliberately unaligned lengths; the one-pass sort takes at
+			// most M keys and pads to a block, the others to whole loads.
+			n, align := 1000, 256
+			if alg == MemOnePass {
+				n, align = 250, 16
+			}
+			keys := workload.Perm(n, int64(alg))
 			want := append([]int64(nil), keys...)
 			slices.Sort(want)
 			rep, err := m.Sort(keys, alg)
@@ -62,10 +72,10 @@ func TestSortAllAlgorithms(t *testing.T) {
 			if !slices.Equal(keys, want) {
 				t.Fatal("not sorted")
 			}
-			if rep.Algorithm != alg || rep.N != 1000 {
+			if rep.Algorithm != alg || rep.N != n {
 				t.Fatalf("report = %+v", rep)
 			}
-			if rep.PaddedN < 1000 || rep.PaddedN%256 != 0 {
+			if rep.PaddedN < n || rep.PaddedN%align != 0 {
 				t.Fatalf("PaddedN = %d", rep.PaddedN)
 			}
 		})
@@ -203,13 +213,73 @@ func TestSortQuickProperty(t *testing.T) {
 	}
 }
 
+// TestAlgorithmStrings pins the algorithm table's wire-visible columns:
+// the enum integers (Report.Algorithm encodes as one), the paper names,
+// and the planner spellings, which must map one to one onto every
+// planner candidate but radix.
 func TestAlgorithmStrings(t *testing.T) {
-	for alg := Auto; alg <= MemOnePass; alg++ {
-		if alg.String() == "" {
-			t.Fatalf("empty name for %d", alg)
+	want := []struct {
+		alg  Algorithm
+		val  int
+		name string
+	}{
+		{Auto, 0, "Auto"},
+		{ThreePassMesh, 1, "ThreePass1"},
+		{TwoPassMeshExpected, 2, "ExpThreePass1 (2-pass mesh)"},
+		{ThreePassLMM, 3, "ThreePass2"},
+		{TwoPassExpected, 4, "ExpectedTwoPass"},
+		{ThreePassExpected, 5, "ExpectedThreePass"},
+		{SevenPass, 6, "SevenPass"},
+		{SixPassExpected, 7, "ExpectedSixPass"},
+		{SevenPassMesh, 8, "SevenPassMesh (Remark 6.2)"},
+		{MemOnePass, 9, "OnePass (memory load)"},
+	}
+	if len(want) != len(algorithms) {
+		t.Fatalf("table has %d rows, want %d", len(algorithms), len(want))
+	}
+	for _, w := range want {
+		if int(w.alg) != w.val || w.alg.String() != w.name {
+			t.Errorf("Algorithm %d %q, want %d %q", int(w.alg), w.alg.String(), w.val, w.name)
 		}
 	}
-	if Algorithm(99).String() != "Algorithm(99)" {
-		t.Fatal("unknown algorithm name")
+	for _, alg := range []Algorithm{-1, 99} {
+		if got, want := alg.String(), fmt.Sprintf("Algorithm(%d)", int(alg)); got != want {
+			t.Errorf("String() = %q, want %q", got, want)
+		}
+	}
+	// Every candidate but radix round-trips through one distinct Algorithm.
+	seen := map[Algorithm]plan.Alg{}
+	for _, pa := range plan.Candidates {
+		if pa == plan.Radix {
+			continue
+		}
+		alg, err := ParseAlgorithm(string(pa))
+		if err != nil || alg == Auto {
+			t.Errorf("ParseAlgorithm(%q) = %v, %v", pa, alg, err)
+			continue
+		}
+		if got := alg.planAlg(); got != pa {
+			t.Errorf("%v.planAlg() = %q, want %q", alg, got, pa)
+		}
+		if prev, dup := seen[alg]; dup {
+			t.Errorf("%v is both %q and %q", alg, prev, pa)
+		}
+		seen[alg] = pa
+	}
+	for alg := Auto + 1; alg.known(); alg++ {
+		if _, ok := seen[alg]; !ok {
+			t.Errorf("%v is no planner candidate", alg)
+		}
+	}
+	// Radix is not an Algorithm, and the rejection names every accepted
+	// spelling.
+	_, err := ParseAlgorithm(string(plan.Radix))
+	if err == nil {
+		t.Fatal("ParseAlgorithm accepted radix")
+	}
+	for _, pa := range seen {
+		if !strings.Contains(err.Error(), "|"+string(pa)) {
+			t.Errorf("error %q omits %q", err, pa)
+		}
 	}
 }

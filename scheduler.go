@@ -866,25 +866,9 @@ func (s *Scheduler) Explain(spec JobSpec) (*PlanReport, error) {
 	if workers == 0 {
 		workers = s.eng.Stats().Workers
 	}
-	backend := backendKind(s.cfg.Dir != "", r.mc.Backend)
-	kernel := kernelKind(r.mc.Kernel, r.pcfg.Mem)
-	shape, cal := planContext(r.pcfg.Mem, r.pcfg.D, r.pcfg.B, workers, r.alpha,
-		spec.BlockLatency, backend, kernel, r.mc.Pipeline)
-	rep, err := plan.Explain(shape, sortSpec.planWorkload(), cal)
-	if err != nil {
-		return nil, err
-	}
-	out := convertPlan(sortSpec, rep)
-	out.Backends = rankBackends(r.pcfg.D, r.pcfg.B, workers, spec.BlockLatency, backend, kernel)
-	out.Kernels = rankKernels(r.pcfg.D, r.pcfg.B, workers, spec.BlockLatency, backend, kernel)
-	if !r.radix {
-		// Pin the choice to what the submitted job actually runs: the
-		// resolved algorithm (the Auto path's deterministic pick, or the
-		// spec's forced one).  The table still ranks what the calibrated
-		// model would prefer.
-		out.setChosen(r.alg)
-	}
-	return out, nil
+	// The Chosen pin is what the submitted job actually runs: the resolved
+	// algorithm (the Auto path's pick, or the spec's forced one).
+	return explainOn(r.mc, r.pcfg.D, workers, r.alpha, sortSpec, r.alg)
 }
 
 // runJob is the job body executed by the engine once admitted.  A
